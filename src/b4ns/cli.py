@@ -28,12 +28,9 @@ def main_daemon(argv=None):
     ap.add_argument("--kvs", default=os.environ.get(ENV_KVS_ENDPOINT),
                     help="KVS endpoint (http URL or directory path)")
     ap.add_argument("--node-id", default=None)
-    ap.add_argument("--host-addr", default="127.0.0.1",
-                    help="this host's address as shared via the KVS")
     args = ap.parse_args(argv)
 
-    d = daemon_mod.Daemon(kvs_endpoint=args.kvs, node_id=args.node_id,
-                          host_addr=args.host_addr)
+    d = daemon_mod.Daemon(kvs_endpoint=args.kvs, node_id=args.node_id)
     srv = daemon_mod.serve_api(d, args.api_socket)
     print(f"b4nsd listening on {args.api_socket}", flush=True)
     stop = threading.Event()

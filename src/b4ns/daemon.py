@@ -191,9 +191,8 @@ class Daemon:
     """Holds all live instances; per-container operations are serialized,
     distinct containers are independent."""
 
-    def __init__(self, kvs_endpoint=None, node_id=None, host_addr="127.0.0.1"):
+    def __init__(self, kvs_endpoint=None, node_id=None):
         self.node_id = node_id or f"node-{uuid.uuid4().hex[:8]}"
-        self.host_addr = host_addr
         self._lock = threading.Lock()
         self._instances = {}
         self.publisher = None

@@ -4,25 +4,32 @@ On every Connection-class syscall the engine decides between:
 
 - switch:  destination is an external endpoint (outside the sandbox
   networks) or the bind port is published -- create a host socket,
-  replay recorded options, inject it under the target's fd number;
+  replay recorded options, bind it to the host mapping (bind only), and
+  inject it under the target's fd number;
 - rewrite: destination is another sandbox's published port that is already
   switched -- additionally rewrite the destination sockaddr in target
   memory to the host mapping and remember the original peer for spoofing;
 - ignore:  stay on the in-namespace path (always the safe fallback).
+
+``execute_switch`` runs both as one transaction with one rollback path.  The
+injected fd keeps its close-on-exec flag, and the target holds the only
+reference to the host socket, so the peer sees FIN when the target exits.
 """
 
 import errno
 import ipaddress
 import logging
+import os
 import socket
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import MemFault, ReplayFailed, StaleCookie, TargetGone
+from .errors import B4nsError, MemFault, ReplayFailed, TargetGone
 from .notify import Response
 from .registry import SocketStatus, replay_options
 from .sockaddr import SOCKADDR_IN_SIZE, pack_sockaddr_in, parse_sockaddr
+from .targetmem import fd_flags
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +91,7 @@ class NetEnvironment:
 @dataclass(frozen=True)
 class SwitchDecision:
     verdict: str  # "switch" | "ignore" | "rewrite"
-    new_dest: Optional[tuple] = None   # (addr, port) to rewrite to
+    new_dest: Optional[tuple] = None   # host (addr, port) to rewrite or bind to
     spoof_peer: Optional[tuple] = None  # original (addr, port) for getpeername
 
     IGNORE = None  # filled below
@@ -105,7 +112,7 @@ def decide(rec, op, env: NetEnvironment, probes=None, multinode=None):
     if kind == "bind":
         m = env.find_published(port)
         if m is not None:
-            return SwitchDecision("switch")
+            return SwitchDecision("switch", new_dest=(m.host_addr, m.host_port))
         return SwitchDecision.IGNORE
 
     if kind != "connect":
@@ -153,119 +160,59 @@ def parse_connection_args(mem, event):
 
 
 def execute_switch(event, rec, decision, chan, mem, registry):
-    """Carry out a switch/rewrite verdict for a connect.
+    """Carry out a switch/rewrite verdict for a connect or bind as one
+    fail-closed transaction: replay options onto a host socket, bind it to
+    the host endpoint (bind) or rewrite the sockaddr (rewrite), validate the
+    cookie once, inject under the target's fd number with its close-on-exec
+    flag.  Any failure before the injection restores the rewritten bytes and
+    lets the original syscall go ahead unchanged.  The host socket is closed
+    on every path, and exactly one response is sent: a switched bind gets
+    success (the injected socket is already bound and would refuse the
+    original bind), everything else continues.
 
-    All fallible steps (socket creation, option replay, memory rewrite,
-    cookie validation) happen before the irreversible fd injection; any
-    failure rolls back to the untouched in-namespace path.
-
-    Returns the supervisor-held host socket on success, None on rollback
-    (the event has been responded to either way).
+    Returns True on a switch, None on rollback.
     """
     host_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    is_bind = decision.verdict == "switch" and decision.new_dest is not None
+    addr_ptr = event.args[1]
+    saved = None  # original sockaddr bytes under the rewrite
+    injected = False
     try:
-        try:
-            replay_options(rec, host_sock)
-        except ReplayFailed as e:
-            log.warning("option replay failed on (%d,%d): %s; staying unswitched",
-                        rec.pid, rec.fd, e)
-            registry.mark_non_switchable(rec)
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-
-        spoof_peer = None
+        replay_options(rec, host_sock)
         if decision.verdict == "rewrite":
-            addr_ptr = event.args[1]
-            addrlen = event.args[2]
-            try:
-                orig = mem.read(event.pid, addr_ptr, min(addrlen, 128))
-            except (MemFault, TargetGone):
-                host_sock.close()
-                chan.respond(event, Response.cont())
-                return None
+            orig = mem.read(event.pid, addr_ptr, min(event.args[2], 128))
             new_raw = pack_sockaddr_in(*decision.new_dest)
             if len(new_raw) > len(orig):
-                # never grow the target's sockaddr buffer
-                host_sock.close()
-                chan.respond(event, Response.cont())
-                return None
+                return None  # never grow the target's sockaddr buffer
+            saved = orig[: len(new_raw)]
+            mem.write(event.pid, addr_ptr, new_raw)
+        elif is_bind:
+            host_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            host_sock.bind(decision.new_dest)
+        if not chan.validate(event):
+            return None
+        cloexec = bool(fd_flags(event.pid, event.fd_arg) & os.O_CLOEXEC)
+        chan.inject_fd(event, host_sock.fileno(), event.fd_arg, cloexec=cloexec)
+        injected = True
+        registry.mark_switched(rec, spoofed_peer=decision.spoof_peer)
+        return True
+    except ReplayFailed as e:
+        log.warning("option replay failed on (%d,%d): %s; staying unswitched",
+                    rec.pid, rec.fd, e)
+        registry.mark_non_switchable(rec)
+        return None
+    except (OSError, B4nsError) as e:
+        log.info("switch of (%d,%d) rolled back: %s", rec.pid, rec.fd, e)
+        return None
+    finally:
+        if saved is not None and not injected:
             try:
-                mem.write(event.pid, addr_ptr, new_raw)
-            except Exception:
-                host_sock.close()
-                chan.respond(event, Response.cont())
-                return None
-            if not chan.validate(event):
-                # switch aborted; restore the bytes best-effort and bail
-                try:
-                    mem.write(event.pid, addr_ptr, orig[: len(new_raw)])
-                except Exception:
-                    pass
-                host_sock.close()
-                chan.respond(event, Response.cont())
-                return None
-            spoof_peer = decision.spoof_peer
-
-        if not chan.validate(event):
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-
-        try:
-            chan.inject_fd(event, host_sock.fileno(), event.fd_arg, replace=True)
-        except StaleCookie:
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-        registry.mark_switched(rec, host_sock.fileno(), spoofed_peer=spoof_peer)
-        chan.respond(event, Response.cont())
-        return host_sock
-    except Exception:
+                mem.write(event.pid, addr_ptr, saved)
+            except (OSError, B4nsError):
+                pass
         host_sock.close()
-        raise
-
-
-def execute_bind_switch(event, rec, mapping, chan, mem, registry):
-    """Switch a bind to a published port: bind a host socket to the host
-    mapping, inject it, and synthesize bind's success (the original bind is
-    never executed; an already-bound injected socket would refuse it)."""
-    host_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        host_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            replay_options(rec, host_sock)
-        except ReplayFailed as e:
-            log.warning("option replay failed on bind (%d,%d): %s",
-                        rec.pid, rec.fd, e)
-            registry.mark_non_switchable(rec)
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-        try:
-            host_sock.bind((mapping.host_addr, mapping.host_port))
-        except OSError as e:
-            log.warning("host bind %s:%d failed: %s; staying unswitched",
-                        mapping.host_addr, mapping.host_port, e)
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-        if not chan.validate(event):
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-        try:
-            chan.inject_fd(event, host_sock.fileno(), event.fd_arg, replace=True)
-        except StaleCookie:
-            host_sock.close()
-            chan.respond(event, Response.cont())
-            return None
-        registry.mark_switched(rec, host_sock.fileno())
-        chan.respond(event, Response.success(0))
-        return host_sock
-    except Exception:
-        host_sock.close()
-        raise
+        chan.respond(event, Response.success(0) if injected and is_bind
+                     else Response.cont())
 
 
 def handle_status(event, rec, chan, mem, syscall_name):

@@ -12,8 +12,7 @@ import os
 import select
 import socket
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import ChannelClosed, HandoffFailed, StaleCookie, UnsupportedKernel
 
@@ -68,20 +67,15 @@ class Response:
 
     kind: "continue" lets the kernel execute the (possibly modified) syscall;
     "success" / "error" synthesize a result without executing it.
-    injected_fd, when set, installs host_fd into the target's fd table before
-    the response is delivered.
     """
 
     kind: str  # "continue" | "success" | "error"
     value: int = 0
     err: int = 0
-    injected_fd: Optional[tuple] = None  # (host_fd, desired_target_fd, replace)
 
     def __post_init__(self):
         if self.kind not in ("continue", "success", "error"):
             raise ValueError(f"bad response kind {self.kind!r}")
-        if self.kind == "error" and self.injected_fd is not None:
-            raise ValueError("error responses cannot inject an fd")
 
     @classmethod
     def cont(cls):
@@ -173,11 +167,11 @@ class NotificationChannel:
             return False
         return True
 
-    def inject_fd(self, event, host_fd, target_fd, replace=True):
-        """Install host_fd into the target's fd table (before responding)."""
-        flags = ADDFD_FLAG_SETFD if replace else 0
-        req = struct.pack(_ADDFD_FMT, event.cookie, flags, host_fd,
-                          target_fd if replace else 0, 0)
+    def inject_fd(self, event, host_fd, target_fd, cloexec=False):
+        """Install host_fd into the target's fd table at target_fd, replacing
+        what is there, close-on-exec if ``cloexec`` (before responding)."""
+        req = struct.pack(_ADDFD_FMT, event.cookie, ADDFD_FLAG_SETFD, host_fd,
+                          target_fd, os.O_CLOEXEC if cloexec else 0)
         try:
             r = self._ioctl(self.fd, IOCTL_NOTIF_ADDFD, bytearray(req))
         except OSError as e:
@@ -194,15 +188,6 @@ class NotificationChannel:
         """
         if event.cookie in self._responded:
             raise StaleCookie(f"cookie {event.cookie:#x} already responded")
-        if response.injected_fd is not None:
-            host_fd, target_fd, replace = response.injected_fd
-            try:
-                self.inject_fd(event, host_fd, target_fd, replace)
-            except StaleCookie:
-                log.warning("target died before fd injection (cookie %#x)",
-                            event.cookie)
-                self._responded.add(event.cookie)
-                return
         flags = RESP_FLAG_CONTINUE if response.kind == "continue" else 0
         err = -response.err if response.kind == "error" else 0
         val = response.value if response.kind == "success" else 0

@@ -22,7 +22,6 @@ log = logging.getLogger(__name__)
 
 FIONBIO = 0x5421
 F_SETFL = _fcntl.F_SETFL
-F_SETFD = _fcntl.F_SETFD
 O_NONBLOCK = 0o4000
 
 
@@ -130,7 +129,6 @@ class SocketRecord:
     status: SocketStatus = SocketStatus.UNKNOWN
     options: list = field(default_factory=list)
     spoofed_peer: Optional[tuple] = None  # (addr, port)
-    switch_outcome: Optional[int] = None  # supervisor-side host socket fd
     _next_seq: int = 0
 
     def transition(self, new_status):
@@ -148,7 +146,8 @@ class SocketRecord:
         return True
 
 
-RECORDABLE_FCNTL_CMDS = (F_SETFL, F_SETFD)
+# not F_SETFD: close-on-exec belongs to the target's fd and is kept at injection
+RECORDABLE_FCNTL_CMDS = (F_SETFL,)
 
 
 class SocketRegistry:
@@ -209,10 +208,9 @@ class SocketRegistry:
             if rec.status is SocketStatus.TRACKABLE:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
 
-    def mark_switched(self, rec, host_fd, spoofed_peer=None):
+    def mark_switched(self, rec, spoofed_peer=None):
         with self._lock:
             rec.transition(SocketStatus.SWITCHED)
-            rec.switch_outcome = host_fd
             rec.spoofed_peer = spoofed_peer
 
     def on_close(self, pid, fd):

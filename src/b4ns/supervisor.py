@@ -59,7 +59,6 @@ class SupervisorInstance:
         self.registry = registry or SocketRegistry()
         self.counters = Counters()
         self.audit = [] if keep_audit else None
-        self._held = {}  # (pid, fd) -> host socket kept alive while switched
         self._thread = None
         self.running = False
 
@@ -99,12 +98,6 @@ class SupervisorInstance:
             self._teardown()
 
     def _teardown(self):
-        for sock in self._held.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._held.clear()
         self.mem.close()
         self.chan.close()
 
@@ -138,12 +131,8 @@ class SupervisorInstance:
             engine.handle_status(event, rec, self.chan, self.mem, name)
 
     def _on_close(self, event, name):
-        key = (event.pid, event.fd_arg)
         if name == "close":
-            self.registry.on_close(*key)
-            held = self._held.pop(key, None)
-            if held is not None:
-                held.close()
+            self.registry.on_close(event.pid, event.fd_arg)
         self._audit(event, name, "continue")
         self.chan.respond(event, Response.cont())
 
@@ -211,15 +200,8 @@ class SupervisorInstance:
             self._audit(event, name, "ignore")
             self.chan.respond(event, Response.cont())
             return
-        if name == "bind":
-            mapping = self.env.find_published(port)
-            sock = engine.execute_bind_switch(
-                event, rec, mapping, self.chan, self.mem, self.registry)
-        else:
-            sock = engine.execute_switch(
-                event, rec, decision, self.chan, self.mem, self.registry)
-        if sock is not None:
-            self._held[(event.pid, event.fd_arg)] = sock
+        if engine.execute_switch(event, rec, decision, self.chan, self.mem,
+                                 self.registry):
             self.counters.sockets_switched += 1
             self._audit(event, name, decision.verdict)
         else:

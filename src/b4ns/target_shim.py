@@ -174,6 +174,10 @@ class ScriptRunner:
         flags = fcntl.fcntl(self.sock(op).fileno(), fcntl.F_GETFL)
         self.emit(op="fcntl_getfl", flags=flags)
 
+    def op_fcntl(self, op):
+        value = fcntl.fcntl(self.sock(op).fileno(), op["cmd"], op.get("arg", 0))
+        self.emit(op="fcntl", cmd=op["cmd"], value=value)
+
     # -- data transfer -------------------------------------------------------
 
     def op_send_pattern(self, op):
@@ -302,6 +306,17 @@ class ScriptRunner:
         for t in threads:
             t.join()
         self.emit(op="threads_connect", results=sorted(results, key=lambda r: r["thread"]))
+
+    def op_fork(self, op):
+        """Run op["ops"] in a forked child that exits without closing its
+        sockets; the parent waits for the child, then carries on."""
+        pid = os.fork()
+        if pid == 0:
+            try:
+                self.run(op["ops"])
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
 
     def op_sleep(self, op):
         time.sleep(op["seconds"])

@@ -93,6 +93,22 @@ def open_mem(pid):
     return MemHandle(pid, fd, source="direct")
 
 
+def fd_flags(pid, fd):
+    """Open flags of the target's fd, O_CLOEXEC included when close-on-exec
+    is set on it, as /proc/<pid>/fdinfo/<fd> reports them."""
+    # raw os calls: a text-mode open() costs several times as much, and
+    # this runs once per switched connect
+    try:
+        info = os.open(f"/proc/{pid}/fdinfo/{fd}", os.O_RDONLY)
+    except (FileNotFoundError, ProcessLookupError):
+        raise TargetGone(f"fd {fd} of pid {pid} is gone")
+    try:
+        text = os.read(info, 256)
+    finally:
+        os.close(info)
+    return int(text.split(b"\nflags:", 1)[1].split(None, 1)[0], 8)
+
+
 def _tgid_of(pid):
     """Thread-group leader of pid (pid itself if already the leader)."""
     try:

@@ -66,7 +66,7 @@ class FakeChannel:
 
     def __init__(self):
         self.responses = []  # (cookie, Response)
-        self.injections = []  # (cookie, host_fd, target_fd, replace)
+        self.injections = []  # (cookie, host_fd, target_fd, cloexec)
         self.invalid_cookies = set()
         self.validate_calls = 0
         self.invalid_after = None  # validation count after which all fail
@@ -78,10 +78,10 @@ class FakeChannel:
             return False
         return event.cookie not in self.invalid_cookies
 
-    def inject_fd(self, event, host_fd, target_fd, replace=True):
+    def inject_fd(self, event, host_fd, target_fd, cloexec=False):
         if event.cookie in self.invalid_cookies:
             raise StaleCookie(f"cookie {event.cookie:#x}")
-        self.injections.append((event.cookie, host_fd, target_fd, replace))
+        self.injections.append((event.cookie, host_fd, target_fd, cloexec))
         return target_fd
 
     def respond(self, event, response: Response):

@@ -3,6 +3,7 @@ against in-memory fakes; execution paths are covered end to end in
 test_switch_e2e)."""
 
 import errno
+import os
 import socket
 import struct
 
@@ -337,3 +338,28 @@ class TestExecuteSwitchRollback:
         assert chan.injections == []
         assert chan.last_response().kind == "continue"
         assert rec.status is SocketStatus.NON_SWITCHABLE
+
+    def test_bind_to_busy_host_port_rolls_back(self):
+        from b4ns.registry import SocketRegistry
+
+        busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            mem = FakeMem()
+            chan = FakeChannel()
+            ev, _, _ = self._event_with_sockaddr(mem, "0.0.0.0", 80)
+            rec = trackable()
+            decision = decide(rec, ("bind", socket.AF_INET, "0.0.0.0", 80),
+                              NetEnvironment(published_ports=[mapping(
+                                  hport=busy.getsockname()[1])]))
+            fds_before = len(os.listdir("/proc/self/fd"))
+            out = engine.execute_switch(ev, rec, decision, chan, mem,
+                                        SocketRegistry())
+            assert len(os.listdir("/proc/self/fd")) == fds_before
+        finally:
+            busy.close()
+        assert out is None
+        assert [r.kind for _, r in chan.responses] == ["continue"]
+        assert chan.injections == []
+        assert rec.status is SocketStatus.TRACKABLE

@@ -46,10 +46,6 @@ class TestResponse:
         with pytest.raises(ValueError):
             Response("maybe")
 
-    def test_error_cannot_inject(self):
-        with pytest.raises(ValueError):
-            Response("error", err=1, injected_fd=(3, 4, True))
-
     def test_constructors(self):
         assert Response.cont().kind == "continue"
         assert Response.success(7).value == 7

@@ -5,6 +5,7 @@ only, usually down), so any traffic that actually reaches the host-side
 echo server proves the in-namespace socket was replaced by a host socket.
 """
 
+import fcntl
 import socket
 
 import pytest
@@ -50,6 +51,61 @@ class TestConnectSwitch:
         assert run.sup.counters.sockets_switched == 2
         # both records evicted on close: nothing lingers
         assert run.sup.registry.snapshot() == []
+
+
+class TestSwitchedSocketLifetime:
+    def test_peer_sees_eof_when_child_exits_without_close(self, tmp_path):
+        n = 5
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(n)
+        host, port = srv.getsockname()
+        child = [{"op": "socket"},
+                 {"op": "connect", "host": host, "port": port}]
+        script = ([{"op": "fork", "ops": child}] * n
+                  + [{"op": "barrier", "name": "children-exited"}])
+        run = supervise(tmp_path, script)
+        try:
+            lines = [run.readline() for _ in range(n + 1)]
+            assert [l.get("ok") for l in lines[:n]] == [True] * n
+            assert lines[n]["name"] == "children-exited"
+            # every child has exited; the target's parent is still alive
+            eofs = 0
+            srv.settimeout(5)
+            for _ in range(n):
+                conn, _ = srv.accept()
+                with conn:
+                    conn.settimeout(5)
+                    try:
+                        eofs += conn.recv(1) == b""
+                    except socket.timeout:
+                        pass
+            assert eofs == n
+        finally:
+            run.release_barrier()
+            run.wait()
+            srv.close()
+        assert run.sup.counters.sockets_switched == n
+
+    @pytest.mark.parametrize("pre,flags", [
+        ([], fcntl.FD_CLOEXEC),  # Python's sockets are non-inheritable
+        ([{"op": "fcntl", "cmd": fcntl.F_SETFD, "arg": 0}], 0),
+    ], ids=["cloexec", "inheritable"])
+    def test_fd_flags_survive_switch(self, tmp_path, echo_server, pre, flags):
+        getfd = {"op": "fcntl", "cmd": fcntl.F_GETFD}
+        script = ([{"op": "socket"}] + pre
+                  + [getfd,
+                     {"op": "connect", "host": echo_server.host,
+                      "port": echo_server.port},
+                     getfd,
+                     {"op": "close"}])
+        run = supervise(tmp_path, script)
+        run.wait()
+        assert run.result("connect")["ok"]
+        assert run.sup.counters.sockets_switched == 1
+        got = [r["value"] for r in run.results("fcntl")
+               if r["cmd"] == fcntl.F_GETFD]
+        assert got == [flags, flags]
 
 
 class TestOptionReplay:
