@@ -8,7 +8,8 @@ the listener fd, which the runtime shim then hands to the supervisor.
 import ctypes
 import os
 
-from .sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS
+from .registry import READ_ONLY_IOCTLS, RECORDABLE_FCNTL_CMDS
+from .sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, NR
 
 _libc = ctypes.CDLL(None, use_errno=True)
 
@@ -29,6 +30,7 @@ BPF_RET = 0x06
 
 _OFF_NR = 0     # struct seccomp_data.nr
 _OFF_ARCH = 4   # struct seccomp_data.arch
+_OFF_ARG1_LO = 24  # low word of struct seccomp_data.args[1] (little-endian)
 
 
 class SockFilter(ctypes.Structure):
@@ -47,33 +49,57 @@ class SockFprog(ctypes.Structure):
     ]
 
 
-def _stmt(code, k):
-    return SockFilter(code, 0, 0, k)
+# fcntl and ioctl take an unsigned int cmd, so the low word of args[1]
+# decides exactly as the kernel does: (listed values, verdict for a listed
+# value, verdict for any other).  Only F_SETFL and the non-read-only ioctls
+# carry anything the supervisor records.
+_ARG_CHECKS = {
+    NR["fcntl"]: (RECORDABLE_FCNTL_CMDS, SECCOMP_RET_USER_NOTIF,
+                  SECCOMP_RET_ALLOW),
+    NR["ioctl"]: (READ_ONLY_IOCTLS, SECCOMP_RET_ALLOW,
+                  SECCOMP_RET_USER_NOTIF),
+}
 
-
-def _jeq(k, jt, jf):
-    return SockFilter(BPF_JMP | BPF_JEQ | BPF_K, jt, jf, k)
+_LD_ABS = BPF_LD | BPF_W | BPF_ABS
+_JEQ_K = BPF_JMP | BPF_JEQ | BPF_K
 
 
 def build_notify_filter(hooked_nrs=HOOKED_NRS):
-    """Filter program: hooked syscalls -> USER_NOTIF, everything else ALLOW.
+    """Filter program: hooked syscalls -> USER_NOTIF, everything else ALLOW;
+    a syscall in _ARG_CHECKS is further decided by its cmd argument.
 
     Wrong-arch syscalls are allowed rather than killed: the supervisor is a
     performance aid, not a security boundary, and must never break the target.
+    Every jump is forward, as the kernel's verifier requires.
     """
     nrs = list(hooked_nrs)
-    insns = [
-        _stmt(BPF_LD | BPF_W | BPF_ABS, _OFF_ARCH),
-        # non-x86_64 -> jump over the whole match chain to ALLOW
-        _jeq(AUDIT_ARCH_X86_64, 0, len(nrs) + 2),
-        _stmt(BPF_LD | BPF_W | BPF_ABS, _OFF_NR),
+    # (code, k, jt, jf) with jump targets as labels, resolved at the end: a
+    # verdict labels its final RET, a syscall number its argument-check block
+    prog = [
+        (_LD_ABS, _OFF_ARCH, None, None),
+        (_JEQ_K, AUDIT_ARCH_X86_64, None, SECCOMP_RET_ALLOW),
+        (_LD_ABS, _OFF_NR, None, None),
     ]
-    for i, nr in enumerate(nrs):
-        remaining = len(nrs) - i - 1
-        insns.append(_jeq(nr, remaining + 1, 0))
-    insns.append(_stmt(BPF_RET, SECCOMP_RET_ALLOW))
-    insns.append(_stmt(BPF_RET, SECCOMP_RET_USER_NOTIF))
-    return insns
+    prog += [(_JEQ_K, nr, nr if nr in _ARG_CHECKS else SECCOMP_RET_USER_NOTIF,
+              None) for nr in nrs]
+    prog.append((BPF_RET, SECCOMP_RET_ALLOW, None, None))
+    labels = {}
+    for nr in nrs:
+        if nr in _ARG_CHECKS:
+            values, on_match, otherwise = _ARG_CHECKS[nr]
+            labels[nr] = len(prog)
+            prog.append((_LD_ABS, _OFF_ARG1_LO, None, None))
+            prog += [(_JEQ_K, v, on_match, None) for v in values]
+            prog.append((BPF_RET, otherwise, None, None))
+    for verdict in (SECCOMP_RET_ALLOW, SECCOMP_RET_USER_NOTIF):
+        labels[verdict] = len(prog)
+        prog.append((BPF_RET, verdict, None, None))
+
+    def offset(pc, label):
+        return 0 if label is None else labels[label] - pc - 1
+
+    return [SockFilter(code, offset(pc, jt), offset(pc, jf), k)
+            for pc, (code, k, jt, jf) in enumerate(prog)]
 
 
 def install_notify_filter(hooked_nrs=HOOKED_NRS):

@@ -11,6 +11,7 @@ import errno
 import fcntl as _fcntl
 import logging
 import socket
+import termios
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,6 +22,11 @@ from .sockaddr import probe_socket_kind
 log = logging.getLogger(__name__)
 
 FIONBIO = 0x5421
+# ioctls that change nothing a switch must replay: they read state, or set
+# close-on-exec, which the target's fd keeps across a switch.  The filter
+# lets them through without a notification.
+READ_ONLY_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
+                    termios.FIOCLEX, termios.FIONCLEX)
 F_SETFL = _fcntl.F_SETFL
 O_NONBLOCK = 0o4000
 

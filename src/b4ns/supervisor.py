@@ -11,6 +11,7 @@ from .errors import ChannelClosed, MemFault, StaleCookie, TargetGone
 from .notify import Response
 from .registry import (
     FIONBIO,
+    READ_ONLY_IOCTLS,
     RECORDABLE_FCNTL_CMDS,
     OptionEvent,
     SocketRegistry,
@@ -162,19 +163,21 @@ class SupervisorInstance:
             self.registry.record_option(
                 rec, OptionEvent("setsockopt", (level, optname, optval)))
         elif name == "fcntl":
-            cmd, arg = event.args[1], event.args[2]
+            # cmd is an unsigned int to the kernel, as to the filter
+            cmd, arg = event.args[1] & 0xFFFFFFFF, event.args[2]
             if cmd in RECORDABLE_FCNTL_CMDS:
                 self.registry.record_option(rec, OptionEvent("fcntl", (cmd, arg)))
         elif name == "ioctl":
-            request = event.args[1]
+            request = event.args[1] & 0xFFFFFFFF
             if request == FIONBIO:
                 (val,) = struct.unpack(
                     "<i", self.mem.read(event.pid, event.args[2], 4))
                 self.registry.record_option(
                     rec, OptionEvent("ioctl", (FIONBIO, val)))
-            else:
+            elif request not in READ_ONLY_IOCTLS:
                 # unreplayable ioctl: this socket can no longer be switched
-                # faithfully
+                # faithfully (a read-only one arrives only through a filter
+                # an older runtime installed, and is harmless)
                 self.registry.mark_non_switchable(rec)
 
     def _on_connection(self, event, name, rec):

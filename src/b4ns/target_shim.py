@@ -178,6 +178,17 @@ class ScriptRunner:
         value = fcntl.fcntl(self.sock(op).fileno(), op["cmd"], op.get("arg", 0))
         self.emit(op="fcntl", cmd=op["cmd"], value=value)
 
+    def op_ioctl(self, op):
+        """ioctl with an int in/out argument; emits the int afterwards."""
+        buf = bytearray(struct.pack("i", op.get("arg", 0)))
+        try:
+            fcntl.ioctl(self.sock(op).fileno(), op["request"], buf)
+            self.emit(op="ioctl", request=op["request"], ok=True,
+                      value=struct.unpack("i", buf)[0])
+        except OSError as e:
+            self.emit(op="ioctl", request=op["request"], ok=False,
+                      err=e.errno or 0)
+
     # -- data transfer -------------------------------------------------------
 
     def op_send_pattern(self, op):

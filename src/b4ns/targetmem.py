@@ -171,7 +171,7 @@ def acquire_fd(pid, remote_fd, pidfd_cache=None):
             e = ctypes.get_errno()
             raise FdNotAvailable(
                 f"pidfd_getfd(pid={pid}, fd={remote_fd}): {os.strerror(e)}")
-        os.set_inheritable(local, False)
+        # pidfd_getfd sets FD_CLOEXEC on the new fd
         return RemoteFd(pid, remote_fd, local)
     except TargetGone:
         raise FdNotAvailable(f"pid {pid} exited")

@@ -1,0 +1,144 @@
+"""The seccomp filter program, run by a small classic-BPF evaluator, and
+the supervisor's agreement with it on which fcntl/ioctl it consumes."""
+
+import fcntl
+import os
+import socket
+import struct
+import termios
+
+import pytest
+
+from b4ns.bpf import (
+    BPF_ABS,
+    BPF_JEQ,
+    BPF_JMP,
+    BPF_K,
+    BPF_LD,
+    BPF_RET,
+    BPF_W,
+    SECCOMP_RET_ALLOW,
+    SECCOMP_RET_USER_NOTIF,
+    build_notify_filter,
+)
+from b4ns.registry import (
+    FIONBIO,
+    READ_ONLY_IOCTLS,
+    SocketRegistry,
+    SocketStatus,
+)
+from b4ns.supervisor import SupervisorInstance
+from b4ns.sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, HOOKED_SYSCALLS, NR
+from b4ns.targetmem import RemoteFd
+
+from fakes import FakeChannel, FakeMem, make_event
+
+ALLOW, NOTIF = SECCOMP_RET_ALLOW, SECCOMP_RET_USER_NOTIF
+PROG = build_notify_filter()
+
+
+def run_filter(nr, args=(), arch=AUDIT_ARCH_X86_64, prog=PROG):
+    """Evaluate the program over a packed struct seccomp_data."""
+    args = tuple(args) + (0,) * (6 - len(args))
+    data = struct.pack("<iIQ6Q", nr, arch, 0x401000, *args)
+    pc, acc = 0, 0
+    while True:
+        ins = prog[pc]
+        if ins.code == BPF_LD | BPF_W | BPF_ABS:
+            (acc,) = struct.unpack_from("<I", data, ins.k)
+            pc += 1
+        elif ins.code == BPF_JMP | BPF_JEQ | BPF_K:
+            pc += 1 + (ins.jt if acc == ins.k else ins.jf)
+        elif ins.code == BPF_RET:
+            return ins.k
+        else:
+            raise AssertionError(f"unexpected opcode {ins.code:#x} at {pc}")
+
+
+def verdict(name, cmd=0, **kw):
+    return run_filter(NR[name], args=(3, cmd), **kw)
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("nr", HOOKED_NRS, ids=HOOKED_SYSCALLS)
+    def test_every_hooked_syscall_notifies_for_some_argument(self, nr):
+        cmds = (0, fcntl.F_SETFL, FIONBIO)
+        assert NOTIF in {run_filter(nr, args=(3, c)) for c in cmds}
+
+    @pytest.mark.parametrize("cmd,expected", [
+        (fcntl.F_GETFL, ALLOW),
+        (fcntl.F_GETFD, ALLOW),
+        (fcntl.F_SETFD, ALLOW),
+        (fcntl.F_SETFL, NOTIF),
+    ], ids=["F_GETFL", "F_GETFD", "F_SETFD", "F_SETFL"])
+    def test_fcntl_notifies_only_for_setfl(self, cmd, expected):
+        assert verdict("fcntl", cmd) == expected
+
+    @pytest.mark.parametrize("req", READ_ONLY_IOCTLS, ids=hex)
+    def test_read_only_ioctls_pass(self, req):
+        assert verdict("ioctl", req) == ALLOW
+
+    @pytest.mark.parametrize("req", [FIONBIO, 0x8913, 0xDEAD], ids=hex)
+    def test_other_ioctls_notify(self, req):
+        assert verdict("ioctl", req) == NOTIF
+
+    def test_unhooked_syscall_passes(self):
+        assert run_filter(NR["read"]) == ALLOW
+        assert run_filter(NR["socket"]) == ALLOW
+
+    def test_foreign_arch_passes(self):
+        # i386's AUDIT_ARCH; its numbers would be misread as x86_64's
+        assert verdict("connect", arch=0x40000003) == ALLOW
+        assert verdict("ioctl", FIONBIO, arch=0x40000003) == ALLOW
+
+    @pytest.mark.parametrize("name,cmd", [
+        ("fcntl", fcntl.F_SETFL), ("fcntl", fcntl.F_GETFL),
+        ("ioctl", termios.FIONREAD), ("ioctl", FIONBIO),
+    ])
+    def test_upper_half_of_cmd_is_ignored(self, name, cmd):
+        # the kernel takes cmd as an unsigned int
+        assert verdict(name, cmd | 1 << 32) == verdict(name, cmd)
+        assert verdict(name, cmd | 0xFFFFFFFF << 32) == verdict(name, cmd)
+
+
+def test_jumps_are_forward_and_land_inside():
+    for pc, ins in enumerate(PROG):
+        if ins.code == BPF_JMP | BPF_JEQ | BPF_K:
+            for off in (ins.jt, ins.jf):
+                assert pc + 1 + off < len(PROG)
+        else:
+            assert ins.jt == ins.jf == 0
+    assert PROG[-1].code == BPF_RET
+
+
+class TestSupervisorAgrees:
+    """A fcntl/ioctl the filter would pass can still arrive through a filter
+    an older runtime installed; the supervisor must treat it as harmless."""
+
+    def _dispatch(self, name, cmd):
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        mem = FakeMem()
+        mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os.dup(srv.fileno()))
+        sup = SupervisorInstance(FakeChannel(), env=None, mem=mem,
+                                 registry=SocketRegistry())
+        try:
+            sup._dispatch(make_event(nr=NR[name], args=(3, cmd, 0)))
+        finally:
+            srv.close()
+        assert sup.chan.last_response().kind == "continue"
+        return sup.registry.get(1000, 3)
+
+    @pytest.mark.parametrize("req", READ_ONLY_IOCTLS, ids=hex)
+    def test_read_only_ioctl_keeps_socket_switchable(self, req):
+        rec = self._dispatch("ioctl", req)
+        assert rec.status is SocketStatus.TRACKABLE
+        assert rec.options == []
+
+    def test_unknown_ioctl_marks_non_switchable(self):
+        rec = self._dispatch("ioctl", 0xDEAD)
+        assert rec.status is SocketStatus.NON_SWITCHABLE
+
+    def test_setfl_with_junk_upper_half_is_recorded(self):
+        rec = self._dispatch("fcntl", fcntl.F_SETFL | 1 << 32)
+        assert [(o.kind, o.args[0]) for o in rec.options] == [
+            ("fcntl", fcntl.F_SETFL)]

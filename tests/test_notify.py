@@ -3,9 +3,11 @@ installed filter's exactness against a live supervised process."""
 
 import array
 import errno
+import fcntl
 import os
 import socket
 import struct
+import termios
 import threading
 
 import pytest
@@ -219,3 +221,21 @@ class TestLiveFilter:
         cookies = [c for c, _, _ in run.sup.audit]
         assert len(cookies) == len(set(cookies))
         assert run.sup.counters.sockets_switched == 4
+
+    def test_read_only_fcntl_and_ioctl_never_notify(self, tmp_path):
+        script = [
+            {"op": "socket"},
+            {"op": "fcntl_getfl"},
+            {"op": "fcntl", "cmd": fcntl.F_GETFD},
+            {"op": "ioctl", "request": termios.FIONREAD},
+            {"op": "ioctl", "request": termios.TCGETS},
+            {"op": "set_nonblock"},
+            {"op": "close"},
+        ]
+        run = supervise(tmp_path, script, netns="host", keep_audit=True)
+        run.wait()
+        assert [r["ok"] for r in run.results("ioctl")] == [True, False]
+        names = [name for _, name, _ in run.sup.audit]
+        # set_nonblock's F_GETFL passes too: only its F_SETFL notifies
+        assert names.count("fcntl") == 1
+        assert "ioctl" not in names

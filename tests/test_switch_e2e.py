@@ -7,6 +7,7 @@ echo server proves the in-namespace socket was replaced by a host socket.
 
 import fcntl
 import socket
+import termios
 
 import pytest
 
@@ -106,6 +107,24 @@ class TestSwitchedSocketLifetime:
         got = [r["value"] for r in run.results("fcntl")
                if r["cmd"] == fcntl.F_GETFD]
         assert got == [flags, flags]
+
+
+    def test_read_only_ioctls_keep_socket_switchable(self, tmp_path,
+                                                     echo_server):
+        script = [{"op": "socket"},
+                  {"op": "ioctl", "request": termios.FIONREAD},
+                  {"op": "ioctl", "request": termios.FIONCLEX},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "fcntl", "cmd": fcntl.F_GETFD},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script)
+        run.wait()
+        assert [r["ok"] for r in run.results("ioctl")] == [True, True]
+        assert run.result("connect")["ok"]
+        assert run.sup.counters.sockets_switched == 1
+        # FIONCLEX cleared close-on-exec, and the switch kept it cleared
+        assert run.result("fcntl")["value"] == 0
 
 
 class TestOptionReplay:

@@ -119,6 +119,7 @@ class TestAcquireFd:
         proc, _, sock_fd = child
         dup = acquire_fd(proc.pid, sock_fd)
         try:
+            assert not os.get_inheritable(dup.local_fd)
             is_sock, domain, sotype, connected = probe_socket_kind(dup.local_fd)
             assert is_sock
             assert domain == socket.AF_INET
