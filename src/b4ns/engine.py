@@ -68,6 +68,9 @@ class NetEnvironment:
             for b in self.container_cidrs[i + 1:]:
                 if a.overlaps(b):
                     raise ValueError(f"overlapping container CIDRs: {a}, {b}")
+        # (network, mask) as integers: connect matches without ipaddress
+        self._v4_nets = [(int(n.network_address), int(n.netmask))
+                         for n in self.container_cidrs if n.version == 4]
         seen = set()
         for m in self.published_ports:
             if m.container_port in seen:
@@ -78,8 +81,14 @@ class NetEnvironment:
                     f"host port {m.host_port} not bindable without privileges")
 
     def is_container_addr(self, addr):
-        ip = ipaddress.ip_address(addr)
-        return any(ip in net for net in self.container_cidrs)
+        """True iff the IPv4 dotted quad ``addr`` is in a container CIDR."""
+        return self._holds(_ipv4(addr))
+
+    def _holds(self, ip):
+        for net, mask in self._v4_nets:
+            if ip & mask == net:
+                return True
+        return False
 
     def find_published(self, port, addr=None):
         for m in self.published_ports:
@@ -88,16 +97,22 @@ class NetEnvironment:
         return None
 
 
+def _ipv4(addr):
+    """Dotted quad -> 32-bit integer (OSError if ``addr`` is not one)."""
+    return int.from_bytes(socket.inet_pton(socket.AF_INET, addr), "big")
+
+
 @dataclass(frozen=True)
 class SwitchDecision:
     verdict: str  # "switch" | "ignore" | "rewrite"
     new_dest: Optional[tuple] = None   # host (addr, port) to rewrite or bind to
     spoof_peer: Optional[tuple] = None  # original (addr, port) for getpeername
 
-    IGNORE = None  # filled below
+    IGNORE = SWITCH = None  # filled below
 
 
 SwitchDecision.IGNORE = SwitchDecision("ignore")
+SwitchDecision.SWITCH = SwitchDecision("switch")
 
 
 def decide(rec, op, env: NetEnvironment, probes=None, multinode=None):
@@ -118,13 +133,13 @@ def decide(rec, op, env: NetEnvironment, probes=None, multinode=None):
     if kind != "connect":
         return SwitchDecision.IGNORE
 
-    ip = ipaddress.ip_address(addr)
-    if ip.is_loopback and not env.host_loopback_allowed:
-        # host loopback from inside the sandbox is a policy decision,
-        # off by default
+    ip = _ipv4(addr)
+    if ip >> 24 == 127 and not env.host_loopback_allowed:
+        # host loopback (127.0.0.0/8) from inside the sandbox is a policy
+        # decision, off by default
         return SwitchDecision.IGNORE
-    if not env.is_container_addr(addr):
-        return SwitchDecision("switch")
+    if not env._holds(ip):
+        return SwitchDecision.SWITCH
 
     # in-sandbox destination: only rewrite toward known switched published ports
     m = env.find_published(port, addr)
@@ -159,15 +174,16 @@ def parse_connection_args(mem, event):
     return raw, family, addr, port
 
 
-def execute_switch(event, rec, decision, chan, mem, registry):
+def execute_switch(event, rec, decision, raw, chan, mem, registry):
     """Carry out a switch/rewrite verdict for a connect or bind as one
     fail-closed transaction: replay options onto a host socket, bind it to
     the host endpoint (bind) or rewrite the sockaddr (rewrite), validate the
     cookie once, inject under the target's fd number with its close-on-exec
-    flag.  Any failure before the injection restores the rewritten bytes and
-    lets the original syscall go ahead unchanged.  The host socket is closed
-    on every path, and exactly one response is sent: a switched bind gets
-    success (the injected socket is already bound and would refuse the
+    flag.  ``raw`` is the sockaddr as ``parse_connection_args`` read it;
+    any failure before the injection restores the rewritten bytes from it
+    and lets the original syscall go ahead unchanged.  The host socket is
+    closed on every path, and exactly one response is sent: a switched bind
+    gets success (the injected socket is already bound and would refuse the
     original bind), everything else continues.
 
     Returns True on a switch, None on rollback.
@@ -180,11 +196,10 @@ def execute_switch(event, rec, decision, chan, mem, registry):
     try:
         replay_options(rec, host_sock)
         if decision.verdict == "rewrite":
-            orig = mem.read(event.pid, addr_ptr, min(event.args[2], 128))
             new_raw = pack_sockaddr_in(*decision.new_dest)
-            if len(new_raw) > len(orig):
+            if len(new_raw) > len(raw):
                 return None  # never grow the target's sockaddr buffer
-            saved = orig[: len(new_raw)]
+            saved = raw[: len(new_raw)]
             mem.write(event.pid, addr_ptr, new_raw)
         elif is_bind:
             host_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

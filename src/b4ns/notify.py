@@ -13,6 +13,7 @@ import select
 import socket
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ChannelClosed, HandoffFailed, StaleCookie, UnsupportedKernel
 
@@ -21,10 +22,10 @@ log = logging.getLogger(__name__)
 ACK_BYTE = b"\x4f"
 
 # struct seccomp_notif: id, pid, flags, struct seccomp_data{nr, arch, ip, args[6]}
-_NOTIF_FMT = "<QIIiIQ6Q"
-_NOTIF_SIZE = struct.calcsize(_NOTIF_FMT)  # 80
+_NOTIF = struct.Struct("<QIIiIQ6Q")
+_NOTIF_SIZE = _NOTIF.size  # 80
 # struct seccomp_notif_resp: id, val, error, flags
-_RESP_FMT = "<QqiI"
+_RESP = struct.Struct("<QqiI")
 # struct seccomp_notif_addfd: id, flags, srcfd, newfd, newfd_flags
 _ADDFD_FMT = "<QIIII"
 _ADDFD_SIZE = struct.calcsize(_ADDFD_FMT)  # 24
@@ -36,7 +37,7 @@ def _ioc(direction, nr, size):
 
 
 IOCTL_NOTIF_RECV = _ioc(3, 0, _NOTIF_SIZE)
-IOCTL_NOTIF_SEND = _ioc(3, 1, struct.calcsize(_RESP_FMT))
+IOCTL_NOTIF_SEND = _ioc(3, 1, _RESP.size)
 IOCTL_NOTIF_ID_VALID = _ioc(1, 2, 8)
 IOCTL_NOTIF_ADDFD = _ioc(1, 3, _ADDFD_SIZE)
 
@@ -44,13 +45,12 @@ RESP_FLAG_CONTINUE = 1  # SECCOMP_USER_NOTIF_FLAG_CONTINUE
 ADDFD_FLAG_SETFD = 1    # SECCOMP_ADDFD_FLAG_SETFD
 
 
-@dataclass(frozen=True)
-class NotificationEvent:
-    """One intercepted syscall, pending a response."""
+class NotificationEvent(NamedTuple):
+    """One intercepted syscall, pending a response (a tuple: one is built
+    per notification)."""
 
     cookie: int
     pid: int
-    tid: int
     syscall_nr: int
     arch: int
     args: tuple
@@ -79,7 +79,7 @@ class Response:
 
     @classmethod
     def cont(cls):
-        return cls("continue")
+        return _CONTINUE
 
     @classmethod
     def success(cls, value=0):
@@ -88,6 +88,9 @@ class Response:
     @classmethod
     def failure(cls, err):
         return cls("error", err=err)
+
+
+_CONTINUE = Response("continue")  # immutable, so every CONTINUE shares it
 
 
 class NotificationChannel:
@@ -101,6 +104,8 @@ class NotificationChannel:
         self.fd = notify_fd
         self._ioctl = ioctl_fn
         self._responded = set()  # cookie audit, bounded by in-flight count
+        self._poll = select.poll()
+        self._poll.register(notify_fd, select.POLLIN)
         if probe_addfd and not self.supports_addfd():
             os.close(notify_fd)
             raise UnsupportedKernel("kernel lacks the add-fd notification command")
@@ -120,15 +125,17 @@ class NotificationChannel:
 
     def next_event(self, timeout=None):
         """Block until the next pending event or channel closure."""
+        ms = None if timeout is None else timeout * 1000
         while True:
-            try:
-                r, _, x = select.select([self.fd], [], [self.fd], timeout)
-            except OSError as e:
-                if e.errno == errno.EBADF:
-                    raise ChannelClosed("notification fd closed")
-                raise
-            if not r and not x:
+            ready = self._poll.poll(ms)
+            if not ready:
                 raise TimeoutError("no notification within timeout")
+            flags = ready[0][1]
+            if flags & select.POLLNVAL:
+                raise ChannelClosed("notification fd closed")
+            if not flags & select.POLLIN:
+                # POLLHUP: every supervised task has exited
+                raise ChannelClosed("all supervised tasks exited")
             buf = bytearray(_NOTIF_SIZE)
             try:
                 self._ioctl(self.fd, IOCTL_NOTIF_RECV, buf)
@@ -142,17 +149,13 @@ class NotificationChannel:
                 if e.errno in (errno.EBADF, errno.EIO):
                     raise ChannelClosed("notification channel closed")
                 raise
-            cookie, pid, flags, nr, arch, ip, *args = struct.unpack_from(_NOTIF_FMT, buf)
-            return NotificationEvent(
-                cookie=cookie, pid=pid, tid=pid, syscall_nr=nr,
-                arch=arch, args=tuple(args),
-            )
+            n = _NOTIF.unpack_from(buf)
+            # keep id, pid, nr, arch and args; drop flags and ip
+            return NotificationEvent(n[0], n[1], n[3], n[4], n[6:])
 
     def _hup(self):
-        p = select.poll()
-        p.register(self.fd, select.POLLIN)
-        ev = p.poll(0)
-        return any(flags & (select.POLLHUP | select.POLLERR) for _, flags in ev)
+        return any(flags & (select.POLLHUP | select.POLLERR)
+                   for _, flags in self._poll.poll(0))
 
     def validate(self, event):
         """True iff the cookie still denotes a live, pending notification.
@@ -191,7 +194,7 @@ class NotificationChannel:
         flags = RESP_FLAG_CONTINUE if response.kind == "continue" else 0
         err = -response.err if response.kind == "error" else 0
         val = response.value if response.kind == "success" else 0
-        buf = struct.pack(_RESP_FMT, event.cookie, val, err, flags)
+        buf = _RESP.pack(event.cookie, val, err, flags)
         self._responded.add(event.cookie)
         if len(self._responded) > 4096:
             self._responded.clear()

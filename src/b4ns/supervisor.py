@@ -19,7 +19,7 @@ from .registry import (
     classify_syscall,
     SyscallClass,
 )
-from .sysnr import NAME_BY_NR
+from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR
 from .targetmem import MemService
 
 log = logging.getLogger(__name__)
@@ -60,6 +60,15 @@ class SupervisorInstance:
         self.registry = registry or SocketRegistry()
         self.counters = Counters()
         self.audit = [] if keep_audit else None
+        by_class = {
+            SyscallClass.CLOSE: self._on_close,
+            SyscallClass.CONFIGURATION: self._on_configuration,
+            SyscallClass.CONNECTION: self._on_connection,
+            SyscallClass.STATUS: self._on_status,
+        }
+        # x86_64 syscall number -> (name, handler), for the hooked set only
+        self._handlers = {NR[name]: (name, by_class[classify_syscall(name)])
+                          for name in HOOKED_SYSCALLS}
         self._thread = None
         self.running = False
 
@@ -109,27 +118,19 @@ class SupervisorInstance:
             self.audit.append((event.cookie, name, action))
 
     def _dispatch(self, event):
-        name = NAME_BY_NR.get(event.syscall_nr, f"nr{event.syscall_nr}")
-        cls = classify_syscall(name)
-        if cls is SyscallClass.CLOSE:
-            self._on_close(event, name)
-            return
-        if cls not in (SyscallClass.CONFIGURATION, SyscallClass.CONNECTION,
-                       SyscallClass.STATUS):
-            # not in the hooked set; the filter should make this unreachable
-            log.warning("unexpected notification for %s", name)
+        entry = (self._handlers.get(event.syscall_nr)
+                 if event.arch == AUDIT_ARCH_X86_64 else None)
+        if entry is None:
+            # a foreign arch or an unhooked syscall: only a filter other than
+            # ours (an older runtime's) sends these, and a foreign arch's
+            # numbers name other syscalls than the x86_64 table's
+            name = f"nr{event.syscall_nr}"
+            log.debug("unexpected notification: arch %#x %s", event.arch, name)
             self._audit(event, name, "continue")
             self.chan.respond(event, Response.cont())
             return
-
-        rec = self.registry.ensure_registered(event.pid, event.fd_arg, self.mem)
-        if cls is SyscallClass.CONFIGURATION:
-            self._on_configuration(event, name, rec)
-        elif cls is SyscallClass.CONNECTION:
-            self._on_connection(event, name, rec)
-        else:
-            self._audit(event, name, "status")
-            engine.handle_status(event, rec, self.chan, self.mem, name)
+        name, handler = entry
+        handler(event, name)
 
     def _on_close(self, event, name):
         if name == "close":
@@ -137,11 +138,22 @@ class SupervisorInstance:
         self._audit(event, name, "continue")
         self.chan.respond(event, Response.cont())
 
-    def _on_configuration(self, event, name, rec):
+    def _on_status(self, event, name):
+        self._audit(event, name, "status")
+        if name == "getpeername":
+            # spoofed only on a switched socket, which always has a record,
+            # so an unknown fd is never probed here
+            rec = self.registry.get(event.pid, event.fd_arg)
+            engine.handle_status(event, rec, self.chan, self.mem, name)
+        else:
+            self.chan.respond(event, Response.cont())
+
+    def _on_configuration(self, event, name):
         """Record replayable options; the syscall always continues so the
         in-namespace socket stays correctly configured for the unswitched
         path (and, post-switch, the continued call configures the host
         socket directly)."""
+        rec = self.registry.ensure_registered(event.pid, event.fd_arg, self.mem)
         if rec.status is SocketStatus.TRACKABLE:
             try:
                 self._record_configuration(event, name, rec)
@@ -180,7 +192,8 @@ class SupervisorInstance:
                 # an older runtime installed, and is harmless)
                 self.registry.mark_non_switchable(rec)
 
-    def _on_connection(self, event, name, rec):
+    def _on_connection(self, event, name):
+        rec = self.registry.ensure_registered(event.pid, event.fd_arg, self.mem)
         if rec.status is not SocketStatus.TRACKABLE:
             self._audit(event, name, "continue")
             self.chan.respond(event, Response.cont())
@@ -203,8 +216,8 @@ class SupervisorInstance:
             self._audit(event, name, "ignore")
             self.chan.respond(event, Response.cont())
             return
-        if engine.execute_switch(event, rec, decision, self.chan, self.mem,
-                                 self.registry):
+        if engine.execute_switch(event, rec, decision, raw, self.chan,
+                                 self.mem, self.registry):
             self.counters.sockets_switched += 1
             self._audit(event, name, decision.verdict)
         else:

@@ -38,8 +38,6 @@ NR = {
     "pidfd_getfd": 438,
 }
 
-NAME_BY_NR = {v: k for k, v in NR.items()}
-
 # The exact set delivered to the supervisor: Configuration, Connection,
 # Status and Close classes.  Creation, Derivation and Communication are
 # deliberately left unfiltered for performance.

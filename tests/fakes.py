@@ -6,6 +6,7 @@ import errno
 
 from b4ns.errors import FdNotAvailable, MemFault, StaleCookie, TargetGone
 from b4ns.notify import NotificationEvent, Response
+from b4ns.sysnr import AUDIT_ARCH_X86_64
 
 
 class FakeMem:
@@ -94,7 +95,8 @@ class FakeChannel:
         return self.responses[-1][1]
 
 
-def make_event(cookie=1, pid=1000, nr=42, args=(3, 0, 0, 0, 0, 0)):
+def make_event(cookie=1, pid=1000, nr=42, args=(3, 0, 0, 0, 0, 0),
+               arch=AUDIT_ARCH_X86_64):
     args = tuple(args) + (0,) * (6 - len(args))
-    return NotificationEvent(cookie=cookie, pid=pid, tid=pid,
-                             syscall_nr=nr, arch=0xC000003E, args=args)
+    return NotificationEvent(cookie=cookie, pid=pid, syscall_nr=nr, arch=arch,
+                             args=args)

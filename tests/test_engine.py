@@ -3,11 +3,14 @@ against in-memory fakes; execution paths are covered end to end in
 test_switch_e2e)."""
 
 import errno
+import ipaddress
 import os
 import socket
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from b4ns import engine
 from b4ns.engine import NetEnvironment, PublishMapping, SwitchDecision, decide
@@ -101,6 +104,49 @@ class TestNetEnvironment:
         env = NetEnvironment(container_cidrs=["10.4.0.0/24"])
         assert env.is_container_addr("10.4.0.7")
         assert not env.is_container_addr("10.5.0.7")
+
+
+IPV4 = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda i: str(ipaddress.IPv4Address(i))),
+    st.sampled_from(["0.0.0.0", "126.255.255.255", "127.0.0.0", "127.0.0.1",
+                     "127.255.255.255", "128.0.0.0", "255.255.255.255"]))
+CIDR = st.builds(
+    lambda i, plen: ipaddress.ip_network((i, plen), strict=False),
+    st.integers(0, 2**32 - 1), st.integers(0, 32))
+
+
+def disjoint(nets):
+    kept = []
+    for n in nets:
+        if not any(n.overlaps(k) for k in kept):
+            kept.append(n)
+    return kept
+
+
+class TestIntegerMatchAgreesWithIpaddress:
+    @given(addr=IPV4, nets=st.lists(CIDR, max_size=3))
+    @example(addr="10.4.0.7", nets=[ipaddress.ip_network("0.0.0.0/0")])
+    @example(addr="10.4.0.7", nets=[ipaddress.ip_network("10.4.0.7/32")])
+    @example(addr="10.4.0.8", nets=[ipaddress.ip_network("10.4.0.7/32")])
+    @example(addr="127.255.255.255",
+             nets=[ipaddress.ip_network("127.0.0.0/8")])
+    @example(addr="128.0.0.0", nets=[ipaddress.ip_network("127.0.0.0/8")])
+    def test_is_container_addr(self, addr, nets):
+        nets = disjoint(nets)
+        # an IPv6 CIDR never holds an IPv4 address, even ::/0
+        env = NetEnvironment(container_cidrs=nets + ["::/0"])
+        ip = ipaddress.ip_address(addr)
+        assert env.is_container_addr(addr) == any(ip in n for n in nets)
+
+    @given(addr=IPV4)
+    @example(addr="127.255.255.255")
+    @example(addr="128.0.0.0")
+    @example(addr="126.255.255.255")
+    def test_loopback_branch(self, addr):
+        env = NetEnvironment(container_cidrs=["::/0"])
+        d = decide(trackable(), ("connect", socket.AF_INET, addr, 80), env)
+        loopback = ipaddress.ip_address(addr).is_loopback
+        assert d.verdict == ("ignore" if loopback else "switch")
 
 
 class TestDecide:
@@ -316,7 +362,7 @@ class TestExecuteSwitchRollback:
         rec = trackable()
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
-        out = engine.execute_switch(ev, rec, decision, chan, mem,
+        out = engine.execute_switch(ev, rec, decision, orig, chan, mem,
                                     SocketRegistry())
         assert out is None
         assert chan.last_response().kind == "continue"
@@ -324,16 +370,36 @@ class TestExecuteSwitchRollback:
         assert mem.peek(1000, ptr, len(orig)) == orig  # bytes restored
         assert rec.status is SocketStatus.TRACKABLE  # no half-switched state
 
+    def test_rewrite_restores_from_the_bytes_already_read(self):
+        from b4ns.registry import SocketRegistry
+
+        mem = FakeMem()
+        chan = FakeChannel()
+        chan.invalid_after = 0
+        ev, _, orig = self._event_with_sockaddr(mem)
+
+        def no_second_read(*args):
+            raise AssertionError("sockaddr read twice")
+
+        mem.read = no_second_read
+        decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
+                                  spoof_peer=("10.4.0.2", 80))
+        out = engine.execute_switch(ev, trackable(), decision, orig, chan, mem,
+                                    SocketRegistry())
+        assert out is None
+        assert [w[2] for w in mem.writes] == [
+            pack_sockaddr_in("127.0.0.1", 8080), orig]
+
     def test_replay_failure_rolls_back_before_any_injection(self):
         from b4ns.registry import OptionEvent, SocketRegistry
 
         mem = FakeMem()
         chan = FakeChannel()
-        ev, _, _ = self._event_with_sockaddr(mem)
+        ev, _, raw = self._event_with_sockaddr(mem)
         rec = trackable()
         rec.add_option(OptionEvent("setsockopt", (9999, 9999, b"\x01")))
-        out = engine.execute_switch(ev, rec, SwitchDecision("switch"), chan,
-                                    mem, SocketRegistry())
+        out = engine.execute_switch(ev, rec, SwitchDecision("switch"), raw,
+                                    chan, mem, SocketRegistry())
         assert out is None
         assert chan.injections == []
         assert chan.last_response().kind == "continue"
@@ -348,13 +414,13 @@ class TestExecuteSwitchRollback:
             busy.listen(1)
             mem = FakeMem()
             chan = FakeChannel()
-            ev, _, _ = self._event_with_sockaddr(mem, "0.0.0.0", 80)
+            ev, _, raw = self._event_with_sockaddr(mem, "0.0.0.0", 80)
             rec = trackable()
             decision = decide(rec, ("bind", socket.AF_INET, "0.0.0.0", 80),
                               NetEnvironment(published_ports=[mapping(
                                   hport=busy.getsockname()[1])]))
             fds_before = len(os.listdir("/proc/self/fd"))
-            out = engine.execute_switch(ev, rec, decision, chan, mem,
+            out = engine.execute_switch(ev, rec, decision, raw, chan, mem,
                                         SocketRegistry())
             assert len(os.listdir("/proc/self/fd")) == fds_before
         finally:

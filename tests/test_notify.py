@@ -13,7 +13,12 @@ import threading
 import pytest
 
 from b4ns import notify
-from b4ns.errors import HandoffFailed, StaleCookie, UnsupportedKernel
+from b4ns.errors import (
+    ChannelClosed,
+    HandoffFailed,
+    StaleCookie,
+    UnsupportedKernel,
+)
 from b4ns.notify import (
     ACK_BYTE,
     IOCTL_NOTIF_ADDFD,
@@ -52,6 +57,9 @@ class TestResponse:
         assert Response.cont().kind == "continue"
         assert Response.success(7).value == 7
         assert Response.failure(errno.EINVAL).err == errno.EINVAL
+
+    def test_continue_is_one_shared_constant(self):
+        assert Response.cont() is Response.cont()
 
 
 class TestChannelUnit:
@@ -115,6 +123,40 @@ class TestChannelUnit:
         cookie, val, err, flags = struct.unpack("<QqiI", sends[0])
         assert (cookie, val, err, flags) == (22, 0, -errno.ECONNREFUSED, 0)
         chan.close()
+
+
+class TestNextEvent:
+    """The poll branches of ``next_event``, over a pipe's read end."""
+
+    def test_closed_fd_means_channel_closed(self):
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        os.close(r)
+        try:
+            with pytest.raises(ChannelClosed):
+                chan.next_event(timeout=1.0)
+        finally:
+            os.close(w)
+
+    def test_nothing_ready_times_out(self):
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        try:
+            with pytest.raises(TimeoutError):
+                chan.next_event(timeout=0.01)
+        finally:
+            chan.close()
+            os.close(w)
+
+    def test_hangup_means_channel_closed(self):
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        os.close(w)
+        try:
+            with pytest.raises(ChannelClosed):
+                chan.next_event(timeout=1.0)
+        finally:
+            chan.close()
 
 
 class TestAttach:
