@@ -17,7 +17,6 @@ import os
 import socket
 import socketserver
 import threading
-import time
 import uuid
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler
@@ -167,7 +166,7 @@ class ManagedInstance:
             self.state = "stopping"
         sup = self.supervisor
         if sup is not None:
-            sup.chan.close()  # wakes the event loop with ChannelClosed
+            sup.chan.wake()  # the loop ends with ChannelClosed and closes it
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         with self._lock:
@@ -248,16 +247,6 @@ class Daemon:
         if inst is None:
             raise UnknownContainer(container_id)
         return inst.registry_dump()
-
-    def wait_running(self, container_id, timeout=10.0):
-        """Poll until the instance reaches running/failed (runtime handshake)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            st = self.status(container_id)[0]
-            if st.state in ("running", "failed", "stopped"):
-                return st
-            time.sleep(0.02)
-        return self.status(container_id)[0]
 
     def shutdown(self):
         with self._lock:

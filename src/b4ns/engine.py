@@ -230,12 +230,11 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry):
                      else Response.cont())
 
 
-def handle_status(event, rec, chan, mem, syscall_name):
+def handle_status(event, rec, chan, mem):
     """Spoof getpeername on switched sockets with a rewritten destination;
-    everything else passes through to the kernel."""
+    on any other socket it passes through to the kernel."""
     if (
-        syscall_name == "getpeername"
-        and rec is not None
+        rec is not None
         and rec.status is SocketStatus.SWITCHED
         and rec.spoofed_peer is not None
     ):

@@ -12,6 +12,7 @@ import os
 import select
 import socket
 import struct
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,18 +98,22 @@ class NotificationChannel:
     """Live notification channel to one supervised process tree.
 
     ``ioctl_fn`` is injectable so tests can simulate feature-masked or
-    misbehaving kernels.
+    misbehaving kernels.  Only the thread that reads events closes the
+    channel; any other thread ends that thread's wait with ``wake``.
     """
 
     def __init__(self, notify_fd, ioctl_fn=fcntl.ioctl, probe_addfd=True):
         self.fd = notify_fd
         self._ioctl = ioctl_fn
         self._responded = set()  # cookie audit, bounded by in-flight count
-        self._poll = select.poll()
-        self._poll.register(notify_fd, select.POLLIN)
         if probe_addfd and not self.supports_addfd():
             os.close(notify_fd)
             raise UnsupportedKernel("kernel lacks the add-fd notification command")
+        self._wake_fd = os.eventfd(0)
+        self._wake_lock = threading.Lock()  # no wake writes to a closed fd
+        self._poll = select.poll()
+        self._poll.register(notify_fd, select.POLLIN)
+        self._poll.register(self._wake_fd, select.POLLIN)
 
     def supports_addfd(self):
         """Probe fd-injection support without a pending event.
@@ -130,7 +135,9 @@ class NotificationChannel:
             ready = self._poll.poll(ms)
             if not ready:
                 raise TimeoutError("no notification within timeout")
-            flags = ready[0][1]
+            fd, flags = ready[0]
+            if fd != self.fd or len(ready) > 1:
+                raise ChannelClosed("channel woken to stop")
             if flags & select.POLLNVAL:
                 raise ChannelClosed("notification fd closed")
             if not flags & select.POLLIN:
@@ -207,7 +214,19 @@ class NotificationChannel:
                 return
             raise
 
+    def wake(self):
+        """Make the current and every later ``next_event`` raise
+        ChannelClosed; safe from any thread, also after ``close``."""
+        with self._wake_lock:
+            if self._wake_fd is not None:
+                os.eventfd_write(self._wake_fd, 1)
+
     def close(self):
+        with self._wake_lock:
+            if self._wake_fd is None:
+                return  # closed already: the fd numbers may be reused
+            os.close(self._wake_fd)
+            self._wake_fd = None
         try:
             os.close(self.fd)
         except OSError:

@@ -11,7 +11,6 @@ _libc = ctypes.CDLL(None, use_errno=True)
 SOCKADDR_IN_SIZE = 16
 SO_DOMAIN = 39
 SO_TYPE = 3
-SO_PROTOCOL = 38
 
 
 def pack_sockaddr_in(addr, port):
@@ -59,15 +58,6 @@ def raw_getpeername(fd):
         if e in (errno.ENOTCONN, errno.EINVAL):
             return None
         raise OSError(e, "getpeername")
-    return buf.raw[: length.value]
-
-
-def raw_getsockname(fd):
-    buf = ctypes.create_string_buffer(128)
-    length = ctypes.c_uint(128)
-    r = _libc.getsockname(fd, buf, ctypes.byref(length))
-    if r != 0:
-        raise OSError(ctypes.get_errno(), "getsockname")
     return buf.raw[: length.value]
 
 

@@ -46,7 +46,7 @@ class SupervisorInstance:
     """Single-threaded event loop over one notification channel.
 
     The channel must already be attached; ``run`` blocks until the target
-    tree exits.  ``audit`` records (cookie, syscall, action) per event so
+    tree exits or another thread calls ``chan.wake()``.  ``audit`` records (cookie, syscall, action) per event so
     tests can assert exactly-once response delivery and filter exactness.
     """
 
@@ -133,20 +133,16 @@ class SupervisorInstance:
         handler(event, name)
 
     def _on_close(self, event, name):
-        if name == "close":
-            self.registry.on_close(event.pid, event.fd_arg)
+        self.registry.on_close(event.pid, event.fd_arg)
         self._audit(event, name, "continue")
         self.chan.respond(event, Response.cont())
 
     def _on_status(self, event, name):
         self._audit(event, name, "status")
-        if name == "getpeername":
-            # spoofed only on a switched socket, which always has a record,
-            # so an unknown fd is never probed here
-            rec = self.registry.get(event.pid, event.fd_arg)
-            engine.handle_status(event, rec, self.chan, self.mem, name)
-        else:
-            self.chan.respond(event, Response.cont())
+        # getpeername is spoofed only on a switched socket, which always has
+        # a record, so an unknown fd is never probed here
+        rec = self.registry.get(event.pid, event.fd_arg)
+        engine.handle_status(event, rec, self.chan, self.mem)
 
     def _on_configuration(self, event, name):
         """Record replayable options; the syscall always continues so the

@@ -38,14 +38,15 @@ NR = {
     "pidfd_getfd": 438,
 }
 
-# The exact set delivered to the supervisor: Configuration, Connection,
-# Status and Close classes.  Creation, Derivation and Communication are
-# deliberately left unfiltered for performance.
+# The exact set delivered to the supervisor: the syscalls it acts on, from
+# the Configuration, Connection, Status and Close classes.  getsockopt,
+# getsockname and shutdown would only ever be continued, so like Creation,
+# Derivation and Communication they are left unfiltered for performance.
 HOOKED_SYSCALLS = (
     "fcntl", "setsockopt", "ioctl",
     "connect", "bind",
-    "getsockopt", "getsockname", "getpeername",
-    "close", "shutdown",
+    "getpeername",
+    "close",
 )
 
 HOOKED_NRS = tuple(NR[n] for n in HOOKED_SYSCALLS)

@@ -155,6 +155,10 @@ class ScriptRunner:
     def op_listen(self, op):
         self.sock(op).listen(op.get("backlog", 8))
 
+    def op_shutdown(self, op):
+        self.sock(op).shutdown(op.get("how", socket.SHUT_WR))
+        self.emit(op="shutdown", ok=True)
+
     def op_getpeername(self, op):
         try:
             addr, port = self.sock(op).getpeername()

@@ -65,6 +65,19 @@ class TestVerdicts:
         cmds = (0, fcntl.F_SETFL, FIONBIO)
         assert NOTIF in {run_filter(nr, args=(3, c)) for c in cmds}
 
+    @pytest.mark.parametrize("name", ["getsockopt", "getsockname",
+                                      "shutdown"])
+    def test_unhooked_status_and_shutdown_calls_pass(self, name):
+        # the supervisor would only ever continue them
+        assert verdict(name) == ALLOW
+
+    @pytest.mark.parametrize("name,cmd", [
+        ("fcntl", fcntl.F_SETFL), ("setsockopt", 0), ("ioctl", FIONBIO),
+        ("connect", 0), ("bind", 0), ("getpeername", 0), ("close", 0),
+    ])
+    def test_kept_syscalls_notify(self, name, cmd):
+        assert verdict(name, cmd) == NOTIF
+
     @pytest.mark.parametrize("cmd,expected", [
         (fcntl.F_GETFL, ALLOW),
         (fcntl.F_GETFD, ALLOW),

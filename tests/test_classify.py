@@ -50,6 +50,13 @@ def test_hooked_set_is_config_connection_status_close_only():
         assert name not in HOOKED_SYSCALLS
 
 
+def test_hooked_set_is_what_the_supervisor_acts_on():
+    # getsockopt, getsockname and shutdown would only ever be continued
+    assert len(HOOKED_SYSCALLS) == 7
+    assert set(HOOKED_SYSCALLS) == {"fcntl", "setsockopt", "ioctl", "connect",
+                                    "bind", "getpeername", "close"}
+
+
 def test_every_hooked_syscall_has_a_number():
     for name in HOOKED_SYSCALLS:
         assert name in NR

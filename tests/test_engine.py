@@ -282,7 +282,7 @@ class TestHandleStatus:
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 16))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem, "getpeername")
+        engine.handle_status(ev, self._switched_rec(), chan, mem)
         resp = chan.last_response()
         assert resp.kind == "success"
         fam, addr, port = parse_sockaddr(mem.peek(1000, addr_ptr, 16))
@@ -296,7 +296,7 @@ class TestHandleStatus:
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 0))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem, "getpeername")
+        engine.handle_status(ev, self._switched_rec(), chan, mem)
         resp = chan.last_response()
         assert resp.kind == "error"
         assert resp.err == errno.EINVAL
@@ -304,8 +304,7 @@ class TestHandleStatus:
     def test_null_pointers_mean_einval(self):
         chan = FakeChannel()
         ev = make_event(pid=1000, args=(3, 0, 0))
-        engine.handle_status(ev, self._switched_rec(), chan, FakeMem(),
-                             "getpeername")
+        engine.handle_status(ev, self._switched_rec(), chan, FakeMem())
         assert chan.last_response().kind == "error"
 
     def test_unreadable_addrlen_means_efault(self):
@@ -315,7 +314,7 @@ class TestHandleStatus:
         mem.fault_addrs.add(bad_ptr)
         ev = make_event(pid=1000, args=(3, mem.place(1000, 0x40, b"\x00" * 16),
                                         bad_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem, "getpeername")
+        engine.handle_status(ev, self._switched_rec(), chan, mem)
         resp = chan.last_response()
         assert resp.kind == "error"
         assert resp.err == errno.EFAULT
@@ -323,14 +322,7 @@ class TestHandleStatus:
     def test_unswitched_socket_passes_through(self):
         chan = FakeChannel()
         ev = make_event(pid=1000, args=(3, 0x1234, 0x5678))
-        engine.handle_status(ev, trackable(), chan, FakeMem(), "getpeername")
-        assert chan.last_response().kind == "continue"
-
-    def test_getsockname_always_passes_through(self):
-        chan = FakeChannel()
-        ev = make_event(pid=1000, args=(3, 0x1234, 0x5678))
-        engine.handle_status(ev, self._switched_rec(), chan, FakeMem(),
-                             "getsockname")
+        engine.handle_status(ev, trackable(), chan, FakeMem())
         assert chan.last_response().kind == "continue"
 
     def test_stale_cookie_after_write_degrades_to_continue(self):
@@ -340,7 +332,7 @@ class TestHandleStatus:
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 16))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem, "getpeername")
+        engine.handle_status(ev, self._switched_rec(), chan, mem)
         assert chan.last_response().kind == "continue"
 
 

@@ -9,6 +9,7 @@ import socket
 import struct
 import termios
 import threading
+import time
 
 import pytest
 
@@ -157,6 +158,39 @@ class TestNextEvent:
                 chan.next_event(timeout=1.0)
         finally:
             chan.close()
+
+    def test_wake_from_another_thread_ends_an_unbounded_wait(self):
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        woken = []
+
+        def wake():
+            woken.append(time.monotonic())
+            chan.wake()
+
+        threading.Timer(0.05, wake).start()
+        # a lost wake would leave the wait to this write, which fails it
+        late = threading.Timer(2.0, os.write, (w, b"x"))
+        late.start()
+        try:
+            with pytest.raises(ChannelClosed):
+                chan.next_event(timeout=None)
+            assert time.monotonic() - woken[0] < 0.1
+            # stopping is final: a later wait ends at once too
+            with pytest.raises(ChannelClosed):
+                chan.next_event(timeout=1.0)
+        finally:
+            late.cancel()
+            chan.close()
+            os.close(w)
+
+    def test_wake_after_close_is_harmless(self):
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        chan.close()
+        chan.wake()
+        chan.close()
+        os.close(w)
 
 
 class TestAttach:

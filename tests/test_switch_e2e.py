@@ -13,6 +13,7 @@ import pytest
 
 from b4ns.engine import NetEnvironment, PublishMapping
 from b4ns.errors import ReplayFailed
+from b4ns.sysnr import NR
 
 from conftest import run_control, supervise
 
@@ -162,6 +163,93 @@ class TestOptionReplay:
         assert sup_run.result("getsockopt")["value"] >= wanted
         assert ctl_run.result("getsockopt")["value"] >= wanted
         assert sup_run.sup.counters.sockets_switched == 1
+
+
+UNHOOKED = ("getsockopt", "getsockname", "shutdown")
+
+
+def assert_never_notified(sup, names=UNHOOKED):
+    """The filter sent none of ``names``: the audit shows a hooked syscall by
+    name and any other by number."""
+    seen = {name for _, name, _ in sup.audit}
+    assert seen.isdisjoint(names + tuple(f"nr{NR[n]}" for n in names))
+
+
+class TestUnhookedCallsOnSwitchedSocket:
+    """getsockopt, getsockname and shutdown reach a switched socket without
+    a notification and see what the host socket holds."""
+
+    def test_nonblocking_connect_then_so_error(self, tmp_path, echo_server):
+        script = [{"op": "socket"},
+                  {"op": "set_nonblock"},
+                  # EINPROGRESS, then select and getsockopt(SO_ERROR)
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "getsockopt", "level": socket.SOL_SOCKET,
+                   "optname": socket.SO_ERROR},
+                  {"op": "getsockname"},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script, keep_audit=True)
+        run.wait()
+        connect = run.result("connect")
+        assert connect["ok"] and connect["inprogress"]
+        assert run.result("getsockopt")["value"] == 0
+        # the host socket's own address (see README, Limitations)
+        assert run.result("getsockname")["addr"] == echo_server.host
+        assert run.sup.counters.sockets_switched == 1
+        assert_never_notified(run.sup)
+
+    def test_shutdown_wr_delivers_eof_while_fd_stays_open(self, tmp_path):
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        host, port = srv.getsockname()
+        script = [{"op": "socket"},
+                  {"op": "connect", "host": host, "port": port},
+                  {"op": "shutdown", "how": socket.SHUT_WR},
+                  {"op": "barrier", "name": "shut"},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script, keep_audit=True)
+        try:
+            assert run.readline()["ok"]  # connect
+            assert run.readline()["ok"]  # shutdown
+            assert run.readline()["name"] == "shut"
+            srv.settimeout(5)
+            conn, _ = srv.accept()
+            with conn:
+                conn.settimeout(5)
+                # the target is parked at the barrier, its fd still open
+                assert conn.recv(1) == b""
+        finally:
+            run.release_barrier()
+            run.wait()
+            srv.close()
+        assert run.sup.counters.sockets_switched == 1
+        assert_never_notified(run.sup)
+
+    def test_options_read_back_after_switch_equal_control(self, tmp_path,
+                                                          echo_server):
+        options = [(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1),
+                   (socket.SOL_SOCKET, socket.SO_RCVBUF, 65536),
+                   (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1),
+                   (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE, 77)]
+        script = ([{"op": "socket"}]
+                  + [{"op": "setsockopt", "level": level, "optname": name,
+                      "value": value} for level, name, value in options]
+                  + [{"op": "connect", "host": echo_server.host,
+                      "port": echo_server.port}]
+                  + [{"op": "getsockopt", "level": level, "optname": name}
+                     for level, name, _ in options]
+                  + [{"op": "close"}])
+        run = supervise(tmp_path, script, keep_audit=True)
+        run.wait()
+        ctl = run_control(tmp_path, script, netns="host")
+        assert run.result("connect")["ok"] and ctl.result("connect")["ok"]
+        assert run.sup.counters.sockets_switched == 1
+        got = [r["value"] for r in run.results("getsockopt")]
+        assert got == [r["value"] for r in ctl.results("getsockopt")]
+        assert got[0] == got[2] == 1 and got[3] == 77
+        assert_never_notified(run.sup)
 
 
 PUBLISH_ENV = lambda hport: NetEnvironment(
