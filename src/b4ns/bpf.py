@@ -8,7 +8,7 @@ the listener fd, which the runtime shim then hands to the supervisor.
 import ctypes
 import os
 
-from .registry import READ_ONLY_IOCTLS, RECORDABLE_FCNTL_CMDS
+from .registry import UNHOOKED_IOCTLS
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, NR
 
 _libc = ctypes.CDLL(None, use_errno=True)
@@ -49,15 +49,11 @@ class SockFprog(ctypes.Structure):
     ]
 
 
-# fcntl and ioctl take an unsigned int cmd, so the low word of args[1]
-# decides exactly as the kernel does: (listed values, verdict for a listed
-# value, verdict for any other).  Only F_SETFL and the non-read-only ioctls
-# carry anything the supervisor records.
-_ARG_CHECKS = {
-    NR["fcntl"]: (RECORDABLE_FCNTL_CMDS, SECCOMP_RET_USER_NOTIF,
-                  SECCOMP_RET_ALLOW),
-    NR["ioctl"]: (READ_ONLY_IOCTLS, SECCOMP_RET_ALLOW,
-                  SECCOMP_RET_USER_NOTIF),
+# ioctl takes an unsigned int request, so the low word of args[1] decides
+# exactly as the kernel does: a listed value is allowed, any other notifies.
+# Only an ioctl outside UNHOOKED_IOCTLS tells the supervisor anything.
+_ALLOWED_ARGS = {
+    NR["ioctl"]: UNHOOKED_IOCTLS,
 }
 
 _LD_ABS = BPF_LD | BPF_W | BPF_ABS
@@ -66,7 +62,7 @@ _JEQ_K = BPF_JMP | BPF_JEQ | BPF_K
 
 def build_notify_filter(hooked_nrs=HOOKED_NRS):
     """Filter program: hooked syscalls -> USER_NOTIF, everything else ALLOW;
-    a syscall in _ARG_CHECKS is further decided by its cmd argument.
+    a syscall in _ALLOWED_ARGS is allowed for a listed cmd argument.
 
     Wrong-arch syscalls are allowed rather than killed: the supervisor is a
     performance aid, not a security boundary, and must never break the target.
@@ -80,17 +76,17 @@ def build_notify_filter(hooked_nrs=HOOKED_NRS):
         (_JEQ_K, AUDIT_ARCH_X86_64, None, SECCOMP_RET_ALLOW),
         (_LD_ABS, _OFF_NR, None, None),
     ]
-    prog += [(_JEQ_K, nr, nr if nr in _ARG_CHECKS else SECCOMP_RET_USER_NOTIF,
-              None) for nr in nrs]
+    prog += [(_JEQ_K, nr, nr if nr in _ALLOWED_ARGS
+              else SECCOMP_RET_USER_NOTIF, None) for nr in nrs]
     prog.append((BPF_RET, SECCOMP_RET_ALLOW, None, None))
     labels = {}
     for nr in nrs:
-        if nr in _ARG_CHECKS:
-            values, on_match, otherwise = _ARG_CHECKS[nr]
+        if nr in _ALLOWED_ARGS:
             labels[nr] = len(prog)
             prog.append((_LD_ABS, _OFF_ARG1_LO, None, None))
-            prog += [(_JEQ_K, v, on_match, None) for v in values]
-            prog.append((BPF_RET, otherwise, None, None))
+            prog += [(_JEQ_K, v, SECCOMP_RET_ALLOW, None)
+                     for v in _ALLOWED_ARGS[nr]]
+            prog.append((BPF_RET, SECCOMP_RET_USER_NOTIF, None, None))
     for verdict in (SECCOMP_RET_ALLOW, SECCOMP_RET_USER_NOTIF):
         labels[verdict] = len(prog)
         prog.append((BPF_RET, verdict, None, None))
@@ -121,6 +117,6 @@ def install_notify_filter(hooked_nrs=HOOKED_NRS):
     )
     if fd < 0:
         raise OSError(ctypes.get_errno(), "seccomp(SET_MODE_FILTER)")
-    # no fcntl/ioctl on the fd here: those syscalls are already being
-    # filtered and nobody is consuming notifications yet
+    # no ioctl on the fd here: ioctl is already being filtered and nobody
+    # is consuming notifications yet
     return fd

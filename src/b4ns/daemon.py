@@ -144,12 +144,17 @@ class ManagedInstance:
             chan, env, probes=probes,
             multinode=self.mirror if spec.multinode_enabled else None)
         with self._lock:
-            self.supervisor = sup
-            self.state = "running"
-        sup.run()  # blocks until the target tree exits
-        with self._lock:
-            if self.state == "running":
-                self.state = "stopped"
+            stopped = self.state != "starting"  # stop() came during attach
+            if not stopped:
+                self.supervisor = sup
+                self.state = "running"
+        if stopped:
+            chan.close()
+        else:
+            sup.run()  # blocks until the target tree exits
+            with self._lock:
+                if self.state == "running":
+                    self.state = "stopped"
         self._cleanup()
 
     def _cleanup(self):

@@ -12,11 +12,13 @@ On every Connection-class syscall the engine decides between:
 - ignore:  stay on the in-namespace path (always the safe fallback).
 
 ``execute_switch`` runs both as one transaction with one rollback path.  The
-injected fd keeps its close-on-exec flag, and the target holds the only
-reference to the host socket, so the peer sees FIN when the target exits.
+injected fd gets the file status flags (O_NONBLOCK) and the close-on-exec
+flag of the fd it replaces, read from the kernel, and the target holds the
+only reference to the host socket, so the peer sees FIN when the target exits.
 """
 
 import errno
+import fcntl
 import ipaddress
 import logging
 import os
@@ -178,13 +180,14 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry):
     """Carry out a switch/rewrite verdict for a connect or bind as one
     fail-closed transaction: replay options onto a host socket, bind it to
     the host endpoint (bind) or rewrite the sockaddr (rewrite), validate the
-    cookie once, inject under the target's fd number with its close-on-exec
-    flag.  ``raw`` is the sockaddr as ``parse_connection_args`` read it;
-    any failure before the injection restores the rewritten bytes from it
-    and lets the original syscall go ahead unchanged.  The host socket is
-    closed on every path, and exactly one response is sent: a switched bind
-    gets success (the injected socket is already bound and would refuse the
-    original bind), everything else continues.
+    cookie once, copy the target fd's flags onto the host socket and inject
+    it under the target's fd number.  ``raw`` is the sockaddr as
+    ``parse_connection_args`` read it; any failure before the injection
+    restores the rewritten bytes from it and lets the original syscall go
+    ahead unchanged.  The host socket is closed on every path, and exactly
+    one response is sent: a switched bind gets success (the injected socket
+    is already bound and would refuse the original bind), everything else
+    continues.
 
     Returns True on a switch, None on rollback.
     """
@@ -206,8 +209,10 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry):
             host_sock.bind(decision.new_dest)
         if not chan.validate(event):
             return None
-        cloexec = bool(fd_flags(event.pid, event.fd_arg) & os.O_CLOEXEC)
-        chan.inject_fd(event, host_sock.fileno(), event.fd_arg, cloexec=cloexec)
+        flags = fd_flags(event.pid, event.fd_arg)
+        fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
+        chan.inject_fd(event, host_sock.fileno(), event.fd_arg,
+                       cloexec=bool(flags & os.O_CLOEXEC))
         injected = True
         registry.mark_switched(rec, spoofed_peer=decision.spoof_peer)
         return True
@@ -231,35 +236,29 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry):
 
 
 def handle_status(event, rec, chan, mem):
-    """Spoof getpeername on switched sockets with a rewritten destination;
-    on any other socket it passes through to the kernel."""
+    """Spoof getpeername on switched sockets with a rewritten destination,
+    handling its arguments as the kernel's move_addr_to_user does; on any
+    other socket it passes through to the kernel."""
     if (
-        rec is not None
-        and rec.status is SocketStatus.SWITCHED
-        and rec.spoofed_peer is not None
+        rec is None
+        or rec.status is not SocketStatus.SWITCHED
+        or rec.spoofed_peer is None
     ):
-        addr_ptr, addrlen_ptr = event.args[1], event.args[2]
-        if addr_ptr == 0 or addrlen_ptr == 0:
-            chan.respond(event, Response.failure(errno.EINVAL))
-            return
-        try:
-            (socklen,) = struct.unpack("<I", mem.read(event.pid, addrlen_ptr, 4))
-        except (MemFault, TargetGone):
-            chan.respond(event, Response.failure(errno.EFAULT))
-            return
-        if socklen == 0:
-            chan.respond(event, Response.failure(errno.EINVAL))
-            return
-        raw = pack_sockaddr_in(*rec.spoofed_peer)
-        try:
-            mem.write(event.pid, addr_ptr, raw[: min(socklen, len(raw))])
-            mem.write(event.pid, addrlen_ptr, struct.pack("<I", SOCKADDR_IN_SIZE))
-        except (MemFault, TargetGone):
-            chan.respond(event, Response.failure(errno.EFAULT))
-            return
-        if not chan.validate(event):
-            chan.respond(event, Response.cont())
-            return
-        chan.respond(event, Response.success(0))
+        chan.respond(event, Response.cont())
         return
-    chan.respond(event, Response.cont())
+    addr_ptr, addrlen_ptr = event.args[1], event.args[2]
+    try:
+        (socklen,) = struct.unpack("<i", mem.read(event.pid, addrlen_ptr, 4))
+        if socklen < 0:
+            chan.respond(event, Response.failure(errno.EINVAL))
+            return
+        # the full length is reported even when the copy is truncated
+        mem.write(event.pid, addrlen_ptr, struct.pack("<i", SOCKADDR_IN_SIZE))
+        if socklen:
+            raw = pack_sockaddr_in(*rec.spoofed_peer)
+            mem.write(event.pid, addr_ptr, raw[:socklen])
+    except (MemFault, TargetGone):
+        chan.respond(event, Response.failure(errno.EFAULT))
+        return
+    chan.respond(event, Response.success(0) if chan.validate(event)
+                 else Response.cont())

@@ -7,6 +7,7 @@ commands and the runtime->supervisor handoff of the notification fd.
 import array
 import errno
 import fcntl
+import gc
 import logging
 import os
 import select
@@ -247,6 +248,10 @@ def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl):
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     srv.bind(handoff_path)
     srv.listen(1)
+    # no hooked syscall can wait on us yet: collect the start-up heap now,
+    # so that the interpreter's next full collection (a few ms) is far off
+    # instead of landing inside an early switch
+    gc.collect()
     srv.settimeout(timeout)
     try:
         conn, _ = srv.accept()

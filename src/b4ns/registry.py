@@ -2,13 +2,11 @@
 
 Sockets are discovered lazily: creation is never intercepted, so the first
 hooked syscall naming an unknown fd triggers a probe of the duplicated fd.
-Configuration syscalls are recorded for replay onto the host-side socket at
-switch time.
+Socket options are recorded for replay onto the host-side socket at switch
+time; the fd's file status flags are read from the kernel then instead.
 """
 
 import enum
-import errno
-import fcntl as _fcntl
 import logging
 import socket
 import termios
@@ -21,14 +19,11 @@ from .sockaddr import probe_socket_kind
 
 log = logging.getLogger(__name__)
 
-FIONBIO = 0x5421
 # ioctls that change nothing a switch must replay: they read state, or set
-# close-on-exec, which the target's fd keeps across a switch.  The filter
-# lets them through without a notification.
-READ_ONLY_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
-                    termios.FIOCLEX, termios.FIONCLEX)
-F_SETFL = _fcntl.F_SETFL
-O_NONBLOCK = 0o4000
+# a flag (close-on-exec, O_NONBLOCK) that the switch copies from the
+# target's fd.  The filter lets them through without a notification.
+UNHOOKED_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
+                   termios.FIOCLEX, termios.FIONCLEX, termios.FIONBIO)
 
 
 class SyscallClass(enum.Enum):
@@ -104,28 +99,18 @@ class IllegalTransition(Exception):
 class OptionEvent:
     """One recorded configuration syscall, replayable onto a host socket.
 
-    kind: "setsockopt" (level, optname, optval bytes), "fcntl" (cmd, arg),
-    or "ioctl" (request, int arg).
+    Only kind "setsockopt" (level, optname, optval bytes) replays; any other
+    kind raises ReplayFailed.
     """
 
     kind: str
     args: tuple
-    sequence: int = 0
 
     def apply(self, sock: socket.socket):
-        if self.kind == "setsockopt":
-            level, optname, optval = self.args
-            sock.setsockopt(level, optname, optval)
-        elif self.kind == "fcntl":
-            cmd, arg = self.args
-            _fcntl.fcntl(sock.fileno(), cmd, arg)
-        elif self.kind == "ioctl":
-            request, arg = self.args
-            if request != FIONBIO:
-                raise ReplayFailed(self)
-            sock.setblocking(arg == 0)
-        else:
+        if self.kind != "setsockopt":
             raise ReplayFailed(self)
+        level, optname, optval = self.args
+        sock.setsockopt(level, optname, optval)
 
 
 @dataclass
@@ -135,7 +120,6 @@ class SocketRecord:
     status: SocketStatus = SocketStatus.UNKNOWN
     options: list = field(default_factory=list)
     spoofed_peer: Optional[tuple] = None  # (addr, port)
-    _next_seq: int = 0
 
     def transition(self, new_status):
         if new_status not in _LEGAL_TRANSITIONS[self.status]:
@@ -146,14 +130,8 @@ class SocketRecord:
     def add_option(self, ev: OptionEvent):
         if self.status is not SocketStatus.TRACKABLE:
             return False
-        ev.sequence = self._next_seq
-        self._next_seq += 1
         self.options.append(ev)
         return True
-
-
-# not F_SETFD: close-on-exec belongs to the target's fd and is kept at injection
-RECORDABLE_FCNTL_CMDS = (F_SETFL,)
 
 
 class SocketRegistry:
@@ -193,7 +171,7 @@ class SocketRegistry:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
             else:
                 try:
-                    is_sock, domain, sotype, connected = probe_socket_kind(dup.local_fd)
+                    is_sock, sotype, connected = probe_socket_kind(dup.local_fd)
                     if not is_sock or sotype != socket.SOCK_STREAM:
                         rec.transition(SocketStatus.NON_SWITCHABLE)
                     elif connected:
@@ -248,12 +226,13 @@ class SocketRegistry:
 
 
 def replay_options(rec: SocketRecord, host_socket: socket.socket):
-    """Apply the recorded configuration sequence to a fresh host socket.
+    """Apply the recorded options to a fresh host socket, in the order the
+    target set them (one supervisor thread appends them).
 
     Any failure raises ReplayFailed and the caller must abort the switch;
     a half-configured switched socket is never acceptable.
     """
-    for ev in sorted(rec.options, key=lambda e: e.sequence):
+    for ev in rec.options:
         try:
             ev.apply(host_socket)
         except ReplayFailed:

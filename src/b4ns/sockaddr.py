@@ -9,7 +9,6 @@ import struct
 _libc = ctypes.CDLL(None, use_errno=True)
 
 SOCKADDR_IN_SIZE = 16
-SO_DOMAIN = 39
 SO_TYPE = 3
 
 
@@ -62,14 +61,10 @@ def raw_getpeername(fd):
 
 
 def probe_socket_kind(fd):
-    """(is_socket, domain, type, connected) for a raw fd."""
+    """(is_socket, type, connected) for a raw fd."""
     try:
         sotype = raw_getsockopt_int(fd, socket.SOL_SOCKET, SO_TYPE)
     except OSError:
-        return False, None, None, False
-    try:
-        domain = raw_getsockopt_int(fd, socket.SOL_SOCKET, SO_DOMAIN)
-    except OSError:
-        domain = None
+        return False, None, False
     connected = raw_getpeername(fd) is not None
-    return True, domain, sotype, connected
+    return True, sotype, connected

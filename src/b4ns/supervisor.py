@@ -1,18 +1,14 @@
 """Per-container supervisor: the event loop joining the notification
 channel, socket registry, switch engine, probes and multi-node cache."""
 
-import errno
 import logging
-import struct
 import threading
 
 from . import engine
 from .errors import ChannelClosed, MemFault, StaleCookie, TargetGone
 from .notify import Response
 from .registry import (
-    FIONBIO,
-    READ_ONLY_IOCTLS,
-    RECORDABLE_FCNTL_CMDS,
+    UNHOOKED_IOCTLS,
     OptionEvent,
     SocketRegistry,
     SocketStatus,
@@ -170,23 +166,12 @@ class SupervisorInstance:
                       if optlen else b"")
             self.registry.record_option(
                 rec, OptionEvent("setsockopt", (level, optname, optval)))
-        elif name == "fcntl":
-            # cmd is an unsigned int to the kernel, as to the filter
-            cmd, arg = event.args[1] & 0xFFFFFFFF, event.args[2]
-            if cmd in RECORDABLE_FCNTL_CMDS:
-                self.registry.record_option(rec, OptionEvent("fcntl", (cmd, arg)))
-        elif name == "ioctl":
-            request = event.args[1] & 0xFFFFFFFF
-            if request == FIONBIO:
-                (val,) = struct.unpack(
-                    "<i", self.mem.read(event.pid, event.args[2], 4))
-                self.registry.record_option(
-                    rec, OptionEvent("ioctl", (FIONBIO, val)))
-            elif request not in READ_ONLY_IOCTLS:
-                # unreplayable ioctl: this socket can no longer be switched
-                # faithfully (a read-only one arrives only through a filter
-                # an older runtime installed, and is harmless)
-                self.registry.mark_non_switchable(rec)
+        elif event.args[1] & 0xFFFFFFFF not in UNHOOKED_IOCTLS:
+            # an ioctl (its request is an unsigned int to the kernel, as to
+            # the filter) that cannot be replayed: this socket can no longer
+            # be switched faithfully.  An unhooked one arrives only through a
+            # filter an older runtime installed, and is harmless
+            self.registry.mark_non_switchable(rec)
 
     def _on_connection(self, event, name):
         rec = self.registry.ensure_registered(event.pid, event.fd_arg, self.mem)

@@ -40,10 +40,11 @@ NR = {
 
 # The exact set delivered to the supervisor: the syscalls it acts on, from
 # the Configuration, Connection, Status and Close classes.  getsockopt,
-# getsockname and shutdown would only ever be continued, so like Creation,
+# getsockname and shutdown would only ever be continued, and the fd flags
+# fcntl sets are read from the kernel at switch time, so like Creation,
 # Derivation and Communication they are left unfiltered for performance.
 HOOKED_SYSCALLS = (
-    "fcntl", "setsockopt", "ioctl",
+    "setsockopt", "ioctl",
     "connect", "bind",
     "getpeername",
     "close",

@@ -114,7 +114,9 @@ class ScriptRunner:
     # -- socket lifecycle ----------------------------------------------------
 
     def op_socket(self, op):
-        s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        """op["flags"] (e.g. SOCK_NONBLOCK) is OR'd into the socket type."""
+        s = socket.socket(socket.AF_INET,
+                          socket.SOCK_STREAM | op.get("flags", 0))
         self.socks[op.get("sock", "s0")] = s
 
     def op_close(self, op):

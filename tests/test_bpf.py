@@ -1,5 +1,5 @@
 """The seccomp filter program, run by a small classic-BPF evaluator, and
-the supervisor's agreement with it on which fcntl/ioctl it consumes."""
+the supervisor's agreement with it on which ioctls it consumes."""
 
 import fcntl
 import os
@@ -21,12 +21,7 @@ from b4ns.bpf import (
     SECCOMP_RET_USER_NOTIF,
     build_notify_filter,
 )
-from b4ns.registry import (
-    FIONBIO,
-    READ_ONLY_IOCTLS,
-    SocketRegistry,
-    SocketStatus,
-)
+from b4ns.registry import UNHOOKED_IOCTLS, SocketRegistry, SocketStatus
 from b4ns.supervisor import SupervisorInstance
 from b4ns.sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, HOOKED_SYSCALLS, NR
 from b4ns.targetmem import RemoteFd
@@ -35,6 +30,9 @@ from fakes import FakeChannel, FakeMem, make_event
 
 ALLOW, NOTIF = SECCOMP_RET_ALLOW, SECCOMP_RET_USER_NOTIF
 PROG = build_notify_filter()
+FIONBIO = termios.FIONBIO
+READ_ONLY_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
+                    termios.FIOCLEX, termios.FIONCLEX)
 
 
 def run_filter(nr, args=(), arch=AUDIT_ARCH_X86_64, prog=PROG):
@@ -72,26 +70,31 @@ class TestVerdicts:
         assert verdict(name) == ALLOW
 
     @pytest.mark.parametrize("name,cmd", [
-        ("fcntl", fcntl.F_SETFL), ("setsockopt", 0), ("ioctl", FIONBIO),
+        ("setsockopt", 0), ("ioctl", 0x8913),
         ("connect", 0), ("bind", 0), ("getpeername", 0), ("close", 0),
     ])
     def test_kept_syscalls_notify(self, name, cmd):
         assert verdict(name, cmd) == NOTIF
 
-    @pytest.mark.parametrize("cmd,expected", [
-        (fcntl.F_GETFL, ALLOW),
-        (fcntl.F_GETFD, ALLOW),
-        (fcntl.F_SETFD, ALLOW),
-        (fcntl.F_SETFL, NOTIF),
+    @pytest.mark.parametrize("cmd", [
+        fcntl.F_GETFL, fcntl.F_GETFD, fcntl.F_SETFD, fcntl.F_SETFL,
     ], ids=["F_GETFL", "F_GETFD", "F_SETFD", "F_SETFL"])
-    def test_fcntl_notifies_only_for_setfl(self, cmd, expected):
-        assert verdict("fcntl", cmd) == expected
+    def test_fcntl_never_notifies(self, cmd):
+        # the switch reads the fd's flags from the kernel instead
+        assert verdict("fcntl", cmd) == ALLOW
+
+    def test_unhooked_ioctls_are_the_read_only_ones_and_fionbio(self):
+        assert sorted(UNHOOKED_IOCTLS) == sorted(READ_ONLY_IOCTLS + (FIONBIO,))
 
     @pytest.mark.parametrize("req", READ_ONLY_IOCTLS, ids=hex)
     def test_read_only_ioctls_pass(self, req):
         assert verdict("ioctl", req) == ALLOW
 
-    @pytest.mark.parametrize("req", [FIONBIO, 0x8913, 0xDEAD], ids=hex)
+    def test_fionbio_passes(self):
+        # the switch copies O_NONBLOCK from the target's fd
+        assert verdict("ioctl", FIONBIO) == ALLOW
+
+    @pytest.mark.parametrize("req", [0x8913, 0xDEAD], ids=hex)
     def test_other_ioctls_notify(self, req):
         assert verdict("ioctl", req) == NOTIF
 
@@ -102,7 +105,7 @@ class TestVerdicts:
     def test_foreign_arch_passes(self):
         # i386's AUDIT_ARCH; its numbers would be misread as x86_64's
         assert verdict("connect", arch=0x40000003) == ALLOW
-        assert verdict("ioctl", FIONBIO, arch=0x40000003) == ALLOW
+        assert verdict("ioctl", 0xDEAD, arch=0x40000003) == ALLOW
 
     @pytest.mark.parametrize("name,cmd", [
         ("fcntl", fcntl.F_SETFL), ("fcntl", fcntl.F_GETFL),
@@ -151,7 +154,11 @@ class TestSupervisorAgrees:
         rec = self._dispatch("ioctl", 0xDEAD)
         assert rec.status is SocketStatus.NON_SWITCHABLE
 
-    def test_setfl_with_junk_upper_half_is_recorded(self):
-        rec = self._dispatch("fcntl", fcntl.F_SETFL | 1 << 32)
-        assert [(o.kind, o.args[0]) for o in rec.options] == [
-            ("fcntl", fcntl.F_SETFL)]
+    def test_fionbio_keeps_socket_switchable(self):
+        rec = self._dispatch("ioctl", FIONBIO)
+        assert rec.status is SocketStatus.TRACKABLE
+        assert rec.options == []
+
+    def test_setfl_with_junk_upper_half_is_continued_unrecorded(self):
+        # fcntl is unhooked: _dispatch continues it without a probe
+        assert self._dispatch("fcntl", fcntl.F_SETFL | 1 << 32) is None

@@ -1,9 +1,11 @@
 """Daemon lifecycle and its management API over the unix socket."""
 
+import threading
 import time
 
 import pytest
 
+from b4ns import notify
 from b4ns.daemon import (
     ContainerSpec,
     Daemon,
@@ -11,7 +13,7 @@ from b4ns.daemon import (
     ManagedInstance,
     serve_api,
 )
-from b4ns.errors import DuplicateContainer, UnknownContainer
+from b4ns.errors import ChannelClosed, DuplicateContainer, UnknownContainer
 
 from conftest import launch_shim, ShimRun
 
@@ -157,6 +159,26 @@ class TestApiErrors:
         assert any(s["container_id"] == "lone" for s in payload)
 
 
+class IdleChannel:
+    """A channel whose target never makes a hooked syscall."""
+
+    def __init__(self):
+        self.polls = 0
+        self.closed = False
+        self._woken = threading.Event()
+
+    def next_event(self):
+        self.polls += 1
+        self._woken.wait(10)
+        raise ChannelClosed("idle")
+
+    def wake(self):
+        self._woken.set()
+
+    def close(self):
+        self.closed = True
+
+
 class TestDaemonDirect:
     def test_attach_timeout_marks_failed(self, tmp_path):
         spec = ContainerSpec("t1", str(tmp_path / "never.sock"))
@@ -181,6 +203,32 @@ class TestDaemonDirect:
                 d.status("y")
         finally:
             d.shutdown()
+
+    def test_stop_during_attach_is_never_undone(self, tmp_path, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        chan = IdleChannel()
+
+        def blocked_attach(path, timeout):
+            entered.set()
+            release.wait(10)
+            return chan
+
+        monkeypatch.setattr(notify, "attach", blocked_attach)
+        inst = ManagedInstance(ContainerSpec("s", str(tmp_path / "s.sock")))
+        inst.start()
+        assert entered.wait(5)
+        stopper = threading.Thread(target=inst.stop)
+        stopper.start()
+        deadline = time.monotonic() + 5
+        while inst.status().state != "stopping" and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release.set()  # a runtime hands off only now
+        stopper.join(10)
+        inst._thread.join(15)
+        assert not stopper.is_alive() and not inst._thread.is_alive()
+        assert inst.status().state == "stopped"
+        assert inst.supervisor is None
+        assert chan.closed and chan.polls == 0
 
     def test_spec_from_dict_parses_publish_forms(self):
         spec = ContainerSpec.from_dict({

@@ -290,22 +290,40 @@ class TestHandleStatus:
         (wrote_len,) = struct.unpack("<I", mem.peek(1000, len_ptr, 4))
         assert wrote_len == SOCKADDR_IN_SIZE
 
-    def test_zero_addrlen_means_einval(self):
+    # (addr NULL?, *addrlen or None for a NULL addrlen) -> (errno or 0,
+    # *addrlen afterwards, bytes copied), as getpeername(2) on a connected
+    # loopback socket gives them on Linux 6.18
+    @pytest.mark.parametrize("null_addr,length,err,len_after,copied", [
+        (False, 0, 0, 16, 0),
+        (False, 8, 0, 16, 8),
+        (False, -1, errno.EINVAL, -1, 0),
+        (True, 0, 0, 16, 0),
+        (True, 16, errno.EFAULT, 16, 0),
+        (False, None, errno.EFAULT, None, 0),
+        (True, None, errno.EFAULT, None, 0),
+    ], ids=["len-0", "len-8", "len-negative", "null-addr-len-0",
+            "null-addr-len-16", "null-addrlen", "null-both"])
+    def test_arguments_handled_as_the_kernel_does(self, null_addr, length,
+                                                   err, len_after, copied):
         mem = FakeMem()
         chan = FakeChannel()
-        addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
-        len_ptr = mem.place(1000, 0x80, struct.pack("<I", 0))
+        addr_ptr = 0 if null_addr else mem.place(1000, 0x40, b"\xee" * 16)
+        len_ptr = (0 if length is None
+                   else mem.place(1000, 0x80, struct.pack("<i", length)))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
         engine.handle_status(ev, self._switched_rec(), chan, mem)
         resp = chan.last_response()
-        assert resp.kind == "error"
-        assert resp.err == errno.EINVAL
-
-    def test_null_pointers_mean_einval(self):
-        chan = FakeChannel()
-        ev = make_event(pid=1000, args=(3, 0, 0))
-        engine.handle_status(ev, self._switched_rec(), chan, FakeMem())
-        assert chan.last_response().kind == "error"
+        if err:
+            assert (resp.kind, resp.err) == ("error", err)
+        else:
+            assert resp.kind == "success"
+        if length is not None:
+            (now,) = struct.unpack("<i", mem.peek(1000, len_ptr, 4))
+            assert now == len_after
+        if not null_addr:
+            peer = pack_sockaddr_in("10.4.0.2", 80)
+            assert mem.peek(1000, addr_ptr, 16) == (
+                peer[:copied] + b"\xee" * (16 - copied))
 
     def test_unreadable_addrlen_means_efault(self):
         mem = FakeMem()

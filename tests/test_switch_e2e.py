@@ -128,9 +128,12 @@ class TestSwitchedSocketLifetime:
         assert run.result("fcntl")["value"] == 0
 
 
+SOCKET = {"op": "socket"}
+
+
 class TestOptionReplay:
     def _run_with_options(self, tmp_path, echo_server, pre, supervised):
-        script = ([{"op": "socket"}] + pre
+        script = (pre
                   + [{"op": "connect", "host": echo_server.host,
                       "port": echo_server.port},
                      {"op": "fcntl_getfl"},
@@ -138,24 +141,31 @@ class TestOptionReplay:
                       "optname": socket.SO_SNDBUF},
                      {"op": "close"}])
         if supervised:
-            run = supervise(tmp_path, script)
+            run = supervise(tmp_path, script, keep_audit=True)
             run.wait()
         else:
             run = run_control(tmp_path, script, netns="host")
         return run
 
     @pytest.mark.parametrize("pre", [
-        [],
-        [{"op": "set_nonblock"}],
-        [{"op": "setsockopt", "level": socket.SOL_SOCKET,
+        [SOCKET],
+        [SOCKET, {"op": "set_nonblock"}],
+        [SOCKET,
+         {"op": "setsockopt", "level": socket.SOL_SOCKET,
           "optname": socket.SO_SNDBUF, "value": 262144},
          {"op": "set_nonblock"}],
-    ], ids=["none", "nonblock", "sndbuf+nonblock"])
+        # Go's runtime creates every socket this way; socket() is unhooked
+        [{"op": "socket", "flags": socket.SOCK_NONBLOCK}],
+        [SOCKET, {"op": "ioctl", "request": termios.FIONBIO, "arg": 1}],
+    ], ids=["none", "nonblock", "sndbuf+nonblock", "sock_nonblock", "fionbio"])
     def test_observed_options_match_control(self, tmp_path, echo_server, pre):
         sup_run = self._run_with_options(tmp_path, echo_server, pre, True)
         ctl_run = self._run_with_options(tmp_path, echo_server, pre, False)
         assert sup_run.result("connect")["ok"]
-        assert ctl_run.result("connect")["ok"]
+        # a non-blocking connect is in progress on both sides
+        assert sup_run.result("connect") == ctl_run.result("connect")
+        # the flags come from the kernel at switch time, not from a hook
+        assert_never_notified(sup_run.sup, ("fcntl", "ioctl"))
         sup_flags = sup_run.result("fcntl_getfl")["flags"]
         ctl_flags = ctl_run.result("fcntl_getfl")["flags"]
         assert sup_flags == ctl_flags
