@@ -8,7 +8,7 @@ the listener fd, which the runtime shim then hands to the supervisor.
 import ctypes
 import os
 
-from .registry import UNHOOKED_IOCTLS
+from .registry import COPIED_OPTIONS, UNHOOKED_IOCTLS
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, NR
 
 _libc = ctypes.CDLL(None, use_errno=True)
@@ -31,6 +31,7 @@ BPF_RET = 0x06
 _OFF_NR = 0     # struct seccomp_data.nr
 _OFF_ARCH = 4   # struct seccomp_data.arch
 _OFF_ARG1_LO = 24  # low word of struct seccomp_data.args[1] (little-endian)
+_OFF_ARG2_LO = 32  # low word of struct seccomp_data.args[2]
 
 
 class SockFilter(ctypes.Structure):
@@ -49,11 +50,15 @@ class SockFprog(ctypes.Structure):
     ]
 
 
-# ioctl takes an unsigned int request, so the low word of args[1] decides
-# exactly as the kernel does: a listed value is allowed, any other notifies.
-# Only an ioctl outside UNHOOKED_IOCTLS tells the supervisor anything.
+# syscall number -> (offsets of the argument words checked, the value
+# tuples allowed): a listed tuple is allowed, any other notifies.  The kernel
+# takes ioctl's request and setsockopt's level and optname as ints, so the
+# low words decide exactly as it does.  Only an ioctl outside
+# UNHOOKED_IOCTLS or an option outside COPIED_OPTIONS tells the supervisor
+# anything.
 _ALLOWED_ARGS = {
-    NR["ioctl"]: UNHOOKED_IOCTLS,
+    NR["ioctl"]: ((_OFF_ARG1_LO,), tuple((req,) for req in UNHOOKED_IOCTLS)),
+    NR["setsockopt"]: ((_OFF_ARG1_LO, _OFF_ARG2_LO), COPIED_OPTIONS),
 }
 
 _LD_ABS = BPF_LD | BPF_W | BPF_ABS
@@ -62,7 +67,7 @@ _JEQ_K = BPF_JMP | BPF_JEQ | BPF_K
 
 def build_notify_filter(hooked_nrs=HOOKED_NRS):
     """Filter program: hooked syscalls -> USER_NOTIF, everything else ALLOW;
-    a syscall in _ALLOWED_ARGS is allowed for a listed cmd argument.
+    a syscall in _ALLOWED_ARGS is allowed for a listed argument tuple.
 
     Wrong-arch syscalls are allowed rather than killed: the supervisor is a
     performance aid, not a security boundary, and must never break the target.
@@ -70,23 +75,20 @@ def build_notify_filter(hooked_nrs=HOOKED_NRS):
     """
     nrs = list(hooked_nrs)
     # (code, k, jt, jf) with jump targets as labels, resolved at the end: a
-    # verdict labels its final RET, a syscall number its argument-check block
+    # verdict labels its final RET, a tuple (nr, *values) the block checking
+    # the next argument word of nr after those values
     prog = [
         (_LD_ABS, _OFF_ARCH, None, None),
         (_JEQ_K, AUDIT_ARCH_X86_64, None, SECCOMP_RET_ALLOW),
         (_LD_ABS, _OFF_NR, None, None),
     ]
-    prog += [(_JEQ_K, nr, nr if nr in _ALLOWED_ARGS
+    prog += [(_JEQ_K, nr, (nr,) if nr in _ALLOWED_ARGS
               else SECCOMP_RET_USER_NOTIF, None) for nr in nrs]
     prog.append((BPF_RET, SECCOMP_RET_ALLOW, None, None))
     labels = {}
     for nr in nrs:
         if nr in _ALLOWED_ARGS:
-            labels[nr] = len(prog)
-            prog.append((_LD_ABS, _OFF_ARG1_LO, None, None))
-            prog += [(_JEQ_K, v, SECCOMP_RET_ALLOW, None)
-                     for v in _ALLOWED_ARGS[nr]]
-            prog.append((BPF_RET, SECCOMP_RET_USER_NOTIF, None, None))
+            _append_arg_checks(prog, labels, (nr,), *_ALLOWED_ARGS[nr])
     for verdict in (SECCOMP_RET_ALLOW, SECCOMP_RET_USER_NOTIF):
         labels[verdict] = len(prog)
         prog.append((BPF_RET, verdict, None, None))
@@ -96,6 +98,23 @@ def build_notify_filter(hooked_nrs=HOOKED_NRS):
 
     return [SockFilter(code, offset(pc, jt), offset(pc, jf), k)
             for pc, (code, k, jt, jf) in enumerate(prog)]
+
+
+def _append_arg_checks(prog, labels, label, offsets, allowed):
+    """Append the block ``label``: load the word at ``offsets[0]`` and jump
+    on each first value of ``allowed`` to ALLOW, or, while words remain, to
+    the block checking the rest of its tuples; any other value notifies."""
+    labels[label] = len(prog)
+    prog.append((_LD_ABS, offsets[0], None, None))
+    firsts = list(dict.fromkeys(t[0] for t in allowed))
+    last = len(offsets) == 1
+    prog += [(_JEQ_K, v, SECCOMP_RET_ALLOW if last else label + (v,), None)
+             for v in firsts]
+    prog.append((BPF_RET, SECCOMP_RET_USER_NOTIF, None, None))
+    if not last:
+        for v in firsts:
+            _append_arg_checks(prog, labels, label + (v,), offsets[1:],
+                               [t[1:] for t in allowed if t[0] == v])
 
 
 def install_notify_filter(hooked_nrs=HOOKED_NRS):

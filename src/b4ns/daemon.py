@@ -116,6 +116,11 @@ class ManagedInstance:
                 self.state = "failed"
                 self.error = f"AttachFailed: {e}"
             return
+        with self._lock:
+            stopped = self.state != "starting"  # stop() came during attach
+        if stopped:
+            chan.close()  # nothing started and nothing published yet
+            return
 
         probes = None
         if spec.probe_enabled:
@@ -144,7 +149,7 @@ class ManagedInstance:
             chan, env, probes=probes,
             multinode=self.mirror if spec.multinode_enabled else None)
         with self._lock:
-            stopped = self.state != "starting"  # stop() came during attach
+            stopped = self.state != "starting"  # stop() came since attach
             if not stopped:
                 self.supervisor = sup
                 self.state = "running"

@@ -12,9 +12,10 @@ On every Connection-class syscall the engine decides between:
 - ignore:  stay on the in-namespace path (always the safe fallback).
 
 ``execute_switch`` runs both as one transaction with one rollback path.  The
-injected fd gets the file status flags (O_NONBLOCK) and the close-on-exec
-flag of the fd it replaces, read from the kernel, and the target holds the
-only reference to the host socket, so the peer sees FIN when the target exits.
+injected fd gets the copied options (COPIED_OPTIONS), the file status flags
+(O_NONBLOCK) and the close-on-exec flag of the fd it replaces, read from the
+kernel, and the target holds the only reference to the host socket, so the
+peer sees FIN when the target exits.
 """
 
 import errno
@@ -29,8 +30,13 @@ from typing import Optional
 
 from .errors import B4nsError, MemFault, ReplayFailed, TargetGone
 from .notify import Response
-from .registry import SocketStatus, replay_options
-from .sockaddr import SOCKADDR_IN_SIZE, pack_sockaddr_in, parse_sockaddr
+from .registry import SocketStatus, copy_options, replay_options
+from .sockaddr import (
+    SOCKADDR_IN_SIZE,
+    pack_sockaddr_in,
+    parse_sockaddr,
+    socket_inode,
+)
 from .targetmem import fd_flags
 
 log = logging.getLogger(__name__)
@@ -176,28 +182,35 @@ def parse_connection_args(mem, event):
     return raw, family, addr, port
 
 
-def execute_switch(event, rec, decision, raw, chan, mem, registry):
+def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
     """Carry out a switch/rewrite verdict for a connect or bind as one
-    fail-closed transaction: replay options onto a host socket, bind it to
-    the host endpoint (bind) or rewrite the sockaddr (rewrite), validate the
-    cookie once, copy the target fd's flags onto the host socket and inject
-    it under the target's fd number.  ``raw`` is the sockaddr as
-    ``parse_connection_args`` read it; any failure before the injection
-    restores the rewritten bytes from it and lets the original syscall go
-    ahead unchanged.  The host socket is closed on every path, and exactly
-    one response is sent: a switched bind gets success (the injected socket
-    is already bound and would refuse the original bind), everything else
+    fail-closed transaction: replay recorded options onto a host socket,
+    copy the copied ones from ``dup`` (the caller's duplicate of the
+    target's fd, which this closes), bind it to the host endpoint (bind) or
+    rewrite the sockaddr (rewrite), validate the cookie once, copy the
+    target fd's flags onto the host socket and inject it under the target's
+    fd number.  ``raw`` is the sockaddr as ``parse_connection_args`` read
+    it; any failure before the injection restores the rewritten bytes from
+    it and lets the original syscall go ahead unchanged.  The host socket
+    and ``dup`` are closed on every path, and exactly one response is sent
+    after that: a switched bind gets success (the injected socket is
+    already bound and would refuse the original bind), everything else
     continues.
 
     Returns True on a switch, None on rollback.
     """
-    host_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    host_sock = None
     is_bind = decision.verdict == "switch" and decision.new_dest is not None
     addr_ptr = event.args[1]
     saved = None  # original sockaddr bytes under the rewrite
     injected = False
     try:
+        host_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         replay_options(rec, host_sock)
+        copy_options(dup.local_fd, host_sock)
+        # closed now, the target's fd holds the last reference to its
+        # socket, and the injection releases it in the target
+        dup.close()
         if decision.verdict == "rewrite":
             new_raw = pack_sockaddr_in(*decision.new_dest)
             if len(new_raw) > len(raw):
@@ -211,10 +224,12 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry):
             return None
         flags = fd_flags(event.pid, event.fd_arg)
         fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
+        inode = socket_inode(host_sock.fileno())
         chan.inject_fd(event, host_sock.fileno(), event.fd_arg,
                        cloexec=bool(flags & os.O_CLOEXEC))
         injected = True
-        registry.mark_switched(rec, spoofed_peer=decision.spoof_peer)
+        registry.mark_switched(rec, spoofed_peer=decision.spoof_peer,
+                               inode=inode)
         return True
     except ReplayFailed as e:
         log.warning("option replay failed on (%d,%d): %s; staying unswitched",
@@ -230,7 +245,9 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry):
                 mem.write(event.pid, addr_ptr, saved)
             except (OSError, B4nsError):
                 pass
-        host_sock.close()
+        dup.close()
+        if host_sock is not None:
+            host_sock.close()
         chan.respond(event, Response.success(0) if injected and is_bind
                      else Response.cont())
 

@@ -100,7 +100,8 @@ class NotificationChannel:
 
     ``ioctl_fn`` is injectable so tests can simulate feature-masked or
     misbehaving kernels.  Only the thread that reads events closes the
-    channel; any other thread ends that thread's wait with ``wake``.
+    channel; any other thread ends that thread's wait with ``wake``.  The
+    same poll watches the supervised processes' pidfds (see ``watch``).
     """
 
     def __init__(self, notify_fd, ioctl_fn=fcntl.ioctl, probe_addfd=True):
@@ -115,6 +116,7 @@ class NotificationChannel:
         self._poll = select.poll()
         self._poll.register(notify_fd, select.POLLIN)
         self._poll.register(self._wake_fd, select.POLLIN)
+        self._watched = {}  # pidfd -> callback, run once its process exits
 
     def supports_addfd(self):
         """Probe fd-injection support without a pending event.
@@ -129,21 +131,56 @@ class NotificationChannel:
             return e.errno == errno.ENOENT
         return True  # a zero cookie should never be live; treat as supported
 
+    def watch(self, pidfd, callback):
+        """Have ``next_event`` run ``callback()`` once, when the process of
+        ``pidfd``, a supervised one, has exited: when the pidfd turns
+        readable, before any notification from the same poll, or at the
+        latest before the ChannelClosed that says every supervised task has
+        exited.  The reading thread only."""
+        self._watched[pidfd] = callback
+        self._poll.register(pidfd, select.POLLIN)
+
+    def unwatch(self, pidfd):
+        if self._watched.pop(pidfd, None) is not None:
+            self._poll.unregister(pidfd)
+
+    def _exited(self, pidfd):
+        callback = self._watched[pidfd]
+        self.unwatch(pidfd)
+        callback()
+
+    def _all_exited(self):
+        # the notify fd hangs up before the exiting tasks' pidfds turn
+        # readable, so run the callbacks still pending here
+        for pidfd in list(self._watched):
+            self._exited(pidfd)
+        return ChannelClosed("all supervised tasks exited")
+
     def next_event(self, timeout=None):
-        """Block until the next pending event or channel closure."""
+        """Block until the next pending event or channel closure, running
+        the callbacks of watched processes that exit meanwhile."""
         ms = None if timeout is None else timeout * 1000
         while True:
             ready = self._poll.poll(ms)
             if not ready:
                 raise TimeoutError("no notification within timeout")
-            fd, flags = ready[0]
-            if fd != self.fd or len(ready) > 1:
+            flags = woken = 0
+            for fd, revents in ready:
+                if fd == self.fd:
+                    flags = revents
+                elif fd in self._watched:
+                    self._exited(fd)
+                else:
+                    woken = 1
+            if woken:
                 raise ChannelClosed("channel woken to stop")
+            if not flags:
+                continue  # only watched fds were ready
             if flags & select.POLLNVAL:
                 raise ChannelClosed("notification fd closed")
             if not flags & select.POLLIN:
                 # POLLHUP: every supervised task has exited
-                raise ChannelClosed("all supervised tasks exited")
+                raise self._all_exited()
             buf = bytearray(_NOTIF_SIZE)
             try:
                 self._ioctl(self.fd, IOCTL_NOTIF_RECV, buf)
@@ -152,7 +189,7 @@ class NotificationChannel:
                     # event vanished between poll and recv (target died mid-
                     # syscall); poll again, EOF shows up as ENOENT+no waiters
                     if self._hup():
-                        raise ChannelClosed("all supervised tasks exited")
+                        raise self._all_exited()
                     continue
                 if e.errno in (errno.EBADF, errno.EIO):
                     raise ChannelClosed("notification channel closed")
@@ -162,8 +199,8 @@ class NotificationChannel:
             return NotificationEvent(n[0], n[1], n[3], n[4], n[6:])
 
     def _hup(self):
-        return any(flags & (select.POLLHUP | select.POLLERR)
-                   for _, flags in self._poll.poll(0))
+        return any(fd == self.fd and flags & (select.POLLHUP | select.POLLERR)
+                   for fd, flags in self._poll.poll(0))
 
     def validate(self, event):
         """True iff the cookie still denotes a live, pending notification.

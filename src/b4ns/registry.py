@@ -2,11 +2,15 @@
 
 Sockets are discovered lazily: creation is never intercepted, so the first
 hooked syscall naming an unknown fd triggers a probe of the duplicated fd.
-Socket options are recorded for replay onto the host-side socket at switch
-time; the fd's file status flags are read from the kernel then instead.
+Neither is close: a record holds its socket's inode, and a record whose fd
+no longer holds that socket is dropped when the fd is next seen.  Options
+outside COPIED_OPTIONS are recorded for replay onto the host-side socket at
+switch time; the copied ones and the fd's file status flags are read from
+the kernel then instead.
 """
 
 import enum
+import functools
 import logging
 import socket
 import termios
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import FdNotAvailable, ReplayFailed
-from .sockaddr import probe_socket_kind
+from .sockaddr import probe_socket_kind, socket_inode
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +28,22 @@ log = logging.getLogger(__name__)
 # target's fd.  The filter lets them through without a notification.
 UNHOOKED_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
                    termios.FIOCLEX, termios.FIONCLEX, termios.FIONBIO)
+
+# (level, optname) pairs the switch copies from the target's socket instead
+# of recording them.  Each reads back exactly as set, setting it has no
+# effect beyond its value, any value the kernel reports can be set
+# unprivileged, and the order they were set in does not matter.  The filter
+# lets them through without a notification.  Not SO_SNDBUF/SO_RCVBUF:
+# setting one locks the buffer size and turns autotuning off.
+COPIED_OPTIONS = (
+    (socket.SOL_SOCKET, socket.SO_REUSEADDR),
+    (socket.SOL_SOCKET, socket.SO_REUSEPORT),
+    (socket.SOL_SOCKET, socket.SO_KEEPALIVE),
+    (socket.IPPROTO_TCP, socket.TCP_NODELAY),
+    (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE),
+    (socket.IPPROTO_TCP, socket.TCP_KEEPINTVL),
+    (socket.IPPROTO_TCP, socket.TCP_KEEPCNT),
+)
 
 
 class SyscallClass(enum.Enum):
@@ -120,6 +140,7 @@ class SocketRecord:
     status: SocketStatus = SocketStatus.UNKNOWN
     options: list = field(default_factory=list)
     spoofed_peer: Optional[tuple] = None  # (addr, port)
+    inode: Optional[int] = None  # of the socket the fd holds; None if none
 
     def transition(self, new_status):
         if new_status not in _LEGAL_TRANSITIONS[self.status]:
@@ -149,8 +170,15 @@ class SocketRegistry:
         with self._lock:
             return self._records.get((pid, fd))
 
-    def ensure_registered(self, pid, fd, mem):
+    def ensure_registered(self, pid, fd, mem, dup=None):
         """Return the record for (pid, fd), probing the fd on first sight.
+
+        ``dup``, a duplicate of the fd that the caller holds and closes,
+        serves the identity check and the probe; without one the identity
+        comes from ``mem.fd_inode`` and a first sight takes its own.  A
+        record whose socket the fd no longer holds (closed and the number
+        reused, or another fd dup2'd over it) is dropped through on_close
+        and the fd is taken as a first sight.
 
         Probe outcome: not a socket or not SOCK_STREAM -> non-switchable;
         already connected (derived fd) -> non-switchable; otherwise trackable.
@@ -160,18 +188,25 @@ class SocketRegistry:
         with self._lock:
             rec = self._records.get((pid, fd))
             if rec is not None:
-                return rec
+                inode = (socket_inode(dup.local_fd) if dup is not None
+                         else mem.fd_inode(pid, fd))
+                if inode == rec.inode:
+                    return rec
+                self.on_close(pid, fd)
             rec = SocketRecord(pid=pid, fd=fd)
-            dup = None
-            try:
-                dup = mem.acquire_fd(pid, fd)
-            except FdNotAvailable as e:
-                log.debug("probe of (%d,%d) failed: %s", pid, fd, e)
-            if dup is None:
+            probe = dup
+            if probe is None:
+                try:
+                    probe = mem.acquire_fd(pid, fd)
+                except FdNotAvailable as e:
+                    log.debug("probe of (%d,%d) failed: %s", pid, fd, e)
+            if probe is None:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
             else:
                 try:
-                    is_sock, sotype, connected = probe_socket_kind(dup.local_fd)
+                    rec.inode = socket_inode(probe.local_fd)
+                    is_sock, sotype, connected = probe_socket_kind(
+                        probe.local_fd)
                     if not is_sock or sotype != socket.SOCK_STREAM:
                         rec.transition(SocketStatus.NON_SWITCHABLE)
                     elif connected:
@@ -179,8 +214,19 @@ class SocketRegistry:
                     else:
                         rec.transition(SocketStatus.TRACKABLE)
                 finally:
-                    dup.close()
+                    if probe is not dup:
+                        probe.close()
             self._records[(pid, fd)] = rec
+            return rec
+
+    def lookup(self, pid, fd, mem):
+        """The record for (pid, fd) while the fd still holds its socket;
+        a stale one is dropped through on_close and None returned."""
+        with self._lock:
+            rec = self._records.get((pid, fd))
+            if rec is not None and mem.fd_inode(pid, fd) != rec.inode:
+                self.on_close(pid, fd)
+                return None
             return rec
 
     def record_option(self, rec: SocketRecord, ev: OptionEvent):
@@ -192,13 +238,16 @@ class SocketRegistry:
             if rec.status is SocketStatus.TRACKABLE:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
 
-    def mark_switched(self, rec, spoofed_peer=None):
+    def mark_switched(self, rec, spoofed_peer=None, inode=None):
+        """``inode`` is the injected host socket's: the fd holds it now."""
         with self._lock:
             rec.transition(SocketStatus.SWITCHED)
             rec.spoofed_peer = spoofed_peer
+            rec.inode = inode
 
     def on_close(self, pid, fd):
-        """Evict the record; the fd number becomes fresh for reuse."""
+        """Evict the record; the fd number becomes fresh for reuse.  Called
+        when the fd turns out to hold another socket than the record's."""
         with self._lock:
             rec = self._records.pop((pid, fd), None)
             if rec is None:
@@ -208,6 +257,7 @@ class SocketRegistry:
             return rec
 
     def evict_pid(self, pid):
+        """Drop every record of ``pid`` (its process exited)."""
         with self._lock:
             for key in [k for k in self._records if k[0] == pid]:
                 del self._records[key]
@@ -239,3 +289,29 @@ def replay_options(rec: SocketRecord, host_socket: socket.socket):
             raise
         except OSError as e:
             raise ReplayFailed(ev) from e
+
+
+@functools.cache
+def _fresh_socket_options():
+    """COPIED_OPTIONS' values on a fresh socket here, read once."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+        return tuple(s.getsockopt(level, name)
+                     for level, name in COPIED_OPTIONS)
+
+
+def copy_options(src_fd, host_socket: socket.socket):
+    """Set each of COPIED_OPTIONS on ``host_socket`` to its value on the
+    socket ``src_fd`` (a held duplicate of the target's), where that value
+    differs from a fresh socket's.  An OSError propagates: the caller rolls
+    the switch back.
+    """
+    # proto given: wrapping the fd then makes no syscall
+    src = socket.socket(socket.AF_INET, socket.SOCK_STREAM, 0, fileno=src_fd)
+    try:
+        for (level, name), default in zip(COPIED_OPTIONS,
+                                          _fresh_socket_options()):
+            value = src.getsockopt(level, name)
+            if value != default:
+                host_socket.setsockopt(level, name, value)
+    finally:
+        src.detach()  # the caller closes the duplicate

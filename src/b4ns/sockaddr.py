@@ -4,6 +4,7 @@ import ctypes
 import errno
 import os
 import socket
+import stat
 import struct
 
 _libc = ctypes.CDLL(None, use_errno=True)
@@ -68,3 +69,9 @@ def probe_socket_kind(fd):
         return False, None, False
     connected = raw_getpeername(fd) is not None
     return True, sotype, connected
+
+
+def socket_inode(fd):
+    """Inode of the socket a raw fd refers to, None if it is not a socket."""
+    st = os.fstat(fd)
+    return st.st_ino if stat.S_ISSOCK(st.st_mode) else None

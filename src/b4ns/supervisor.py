@@ -5,7 +5,13 @@ import logging
 import threading
 
 from . import engine
-from .errors import ChannelClosed, MemFault, StaleCookie, TargetGone
+from .errors import (
+    ChannelClosed,
+    FdNotAvailable,
+    MemFault,
+    StaleCookie,
+    TargetGone,
+)
 from .notify import Response
 from .registry import (
     UNHOOKED_IOCTLS,
@@ -42,8 +48,11 @@ class SupervisorInstance:
     """Single-threaded event loop over one notification channel.
 
     The channel must already be attached; ``run`` blocks until the target
-    tree exits or another thread calls ``chan.wake()``.  ``audit`` records (cookie, syscall, action) per event so
-    tests can assert exactly-once response delivery and filter exactness.
+    tree exits or another thread calls ``chan.wake()``.  A process's records
+    and memory handles go when it exits: the channel's poll watches the
+    pidfd the memory service holds for it.  ``audit`` records (cookie,
+    syscall, action) per event so tests can assert exactly-once response
+    delivery and filter exactness.
     """
 
     def __init__(self, chan, env, probes=None, multinode=None, mem=None,
@@ -52,12 +61,11 @@ class SupervisorInstance:
         self.env = env
         self.probes = probes
         self.multinode = multinode
-        self.mem = mem or MemService()
         self.registry = registry or SocketRegistry()
+        self.mem = mem or MemService(chan, on_exit=self.registry.evict_pid)
         self.counters = Counters()
         self.audit = [] if keep_audit else None
         by_class = {
-            SyscallClass.CLOSE: self._on_close,
             SyscallClass.CONFIGURATION: self._on_configuration,
             SyscallClass.CONNECTION: self._on_connection,
             SyscallClass.STATUS: self._on_status,
@@ -128,16 +136,11 @@ class SupervisorInstance:
         name, handler = entry
         handler(event, name)
 
-    def _on_close(self, event, name):
-        self.registry.on_close(event.pid, event.fd_arg)
-        self._audit(event, name, "continue")
-        self.chan.respond(event, Response.cont())
-
     def _on_status(self, event, name):
         self._audit(event, name, "status")
         # getpeername is spoofed only on a switched socket, which always has
         # a record, so an unknown fd is never probed here
-        rec = self.registry.get(event.pid, event.fd_arg)
+        rec = self.registry.lookup(event.pid, event.fd_arg, self.mem)
         engine.handle_status(event, rec, self.chan, self.mem)
 
     def _on_configuration(self, event, name):
@@ -174,33 +177,47 @@ class SupervisorInstance:
             self.registry.mark_non_switchable(rec)
 
     def _on_connection(self, event, name):
-        rec = self.registry.ensure_registered(event.pid, event.fd_arg, self.mem)
-        if rec.status is not SocketStatus.TRACKABLE:
-            self._audit(event, name, "continue")
-            self.chan.respond(event, Response.cont())
-            return
+        dup = switch = None
         try:
-            raw, family, addr, port = engine.parse_connection_args(self.mem, event)
-        except (MemFault, TargetGone):
-            self._audit(event, name, "continue")
+            # one duplicate serves the probe, the identity check and the
+            # option copy; it is closed before the response
+            dup = self.mem.acquire_fd(event.pid, event.fd_arg)
+            action, switch = self._connection_verdict(event, name, dup)
+        except FdNotAvailable:
+            action = "continue"  # the fd is not open, or its process exited
+        finally:
+            if switch is None and dup is not None:
+                dup.close()
+        if switch is None:
+            self._audit(event, name, action)
             self.chan.respond(event, Response.cont())
             return
-        # the sockaddr just read feeds a security decision: revalidate
-        if not self.chan.validate(event):
-            self._audit(event, name, "stale")
-            self.chan.respond(event, Response.cont())
-            return
-        decision = engine.decide(
-            rec, (name, family, addr, port), self.env,
-            probes=self.probes, multinode=self.multinode)
-        if decision.verdict == "ignore":
-            self._audit(event, name, "ignore")
-            self.chan.respond(event, Response.cont())
-            return
+        rec, decision, raw = switch
         if engine.execute_switch(event, rec, decision, raw, self.chan,
-                                 self.mem, self.registry):
+                                 self.mem, self.registry, dup):
             self.counters.sockets_switched += 1
             self._audit(event, name, decision.verdict)
         else:
             self.counters.switches_rolled_back += 1
             self._audit(event, name, "rolled_back")
+
+    def _connection_verdict(self, event, name, dup):
+        """(action, None) for a connect/bind that continues unswitched, or
+        (verdict, (rec, decision, raw)) for one to switch."""
+        rec = self.registry.ensure_registered(event.pid, event.fd_arg,
+                                              self.mem, dup)
+        if rec.status is not SocketStatus.TRACKABLE:
+            return "continue", None
+        try:
+            raw, family, addr, port = engine.parse_connection_args(self.mem, event)
+        except (MemFault, TargetGone):
+            return "continue", None
+        # the sockaddr just read feeds a security decision: revalidate
+        if not self.chan.validate(event):
+            return "stale", None
+        decision = engine.decide(
+            rec, (name, family, addr, port), self.env,
+            probes=self.probes, multinode=self.multinode)
+        if decision.verdict == "ignore":
+            return "ignore", None
+        return decision.verdict, (rec, decision, raw)

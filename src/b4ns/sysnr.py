@@ -39,15 +39,16 @@ NR = {
 }
 
 # The exact set delivered to the supervisor: the syscalls it acts on, from
-# the Configuration, Connection, Status and Close classes.  getsockopt,
-# getsockname and shutdown would only ever be continued, and the fd flags
-# fcntl sets are read from the kernel at switch time, so like Creation,
-# Derivation and Communication they are left unfiltered for performance.
+# the Configuration, Connection and Status classes.  getsockopt, getsockname
+# and shutdown would only ever be continued, the fd flags fcntl sets are read
+# from the kernel at switch time, and a closed fd's record is dropped when
+# its number is next seen holding another socket or when its process exits,
+# so like Creation, Derivation and Communication they are left unfiltered for
+# performance.
 HOOKED_SYSCALLS = (
     "setsockopt", "ioctl",
     "connect", "bind",
     "getpeername",
-    "close",
 )
 
 HOOKED_NRS = tuple(NR[n] for n in HOOKED_SYSCALLS)

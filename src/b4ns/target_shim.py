@@ -123,6 +123,10 @@ class ScriptRunner:
         self.sock(op).close()
         del self.socks[op.get("sock", "s0")]
 
+    def op_dup2(self, op):
+        """dup2 the fd of socket op["sock"] over the fd of op["to"]."""
+        os.dup2(self.sock(op).fileno(), self.socks[op["to"]].fileno())
+
     def op_setsockopt(self, op):
         self.sock(op).setsockopt(op["level"], op["optname"], op["value"])
 

@@ -2,12 +2,14 @@
 
 Memory goes through /proc/<pid>/mem (directly, or via a reduced-privilege
 agent that re-opens it with the target's credentials and passes the fd back
-over a unix socket).  Fd duplicates come from pidfd_getfd(2).
+over a unix socket).  Fd duplicates come from pidfd_getfd(2), through a
+pidfd per process that also tells when the process exits.
 """
 
 import array
 import ctypes
 import errno
+import functools
 import logging
 import os
 import socket
@@ -109,6 +111,17 @@ def fd_flags(pid, fd):
     return int(text.split(b"\nflags:", 1)[1].split(None, 1)[0], 8)
 
 
+def fd_inode(pid, fd):
+    """Inode of the socket the target's fd refers to, as the link
+    /proc/<pid>/fd/<fd> names it; None if the fd is not open or not a
+    socket."""
+    try:
+        link = os.readlink(f"/proc/{pid}/fd/{fd}")
+    except OSError:
+        return None
+    return int(link[8:-1]) if link.startswith("socket:[") else None
+
+
 def _tgid_of(pid):
     """Thread-group leader of pid (pid itself if already the leader)."""
     try:
@@ -145,39 +158,23 @@ class RemoteFd:
     local_fd: int
 
     def close(self):
-        try:
-            os.close(self.local_fd)
-        except OSError:
-            pass
+        """Close the duplicate; a second call does nothing."""
+        fd, self.local_fd = self.local_fd, -1
+        if fd >= 0:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
 
 
-def acquire_fd(pid, remote_fd, pidfd_cache=None):
-    """Duplicate the target's fd into this process via pidfd_getfd(2).
-
-    Failure is never fatal to the intercepted syscall: callers mark the fd
-    non-switchable instead.
-    """
-    pidfd = None
-    cached = pidfd_cache is not None and pid in pidfd_cache
-    try:
-        if cached:
-            pidfd = pidfd_cache[pid]
-        else:
-            pidfd = _pidfd_open(pid)
-            if pidfd_cache is not None:
-                pidfd_cache[pid] = pidfd
-        local = _libc.syscall(SYS_pidfd_getfd, pidfd, remote_fd, 0)
-        if local < 0:
-            e = ctypes.get_errno()
-            raise FdNotAvailable(
-                f"pidfd_getfd(pid={pid}, fd={remote_fd}): {os.strerror(e)}")
-        # pidfd_getfd sets FD_CLOEXEC on the new fd
-        return RemoteFd(pid, remote_fd, local)
-    except TargetGone:
-        raise FdNotAvailable(f"pid {pid} exited")
-    finally:
-        if pidfd is not None and pidfd_cache is None:
-            os.close(pidfd)
+def _getfd(pidfd, pid, remote_fd):
+    local = _libc.syscall(SYS_pidfd_getfd, pidfd, remote_fd, 0)
+    if local < 0:
+        e = ctypes.get_errno()
+        raise FdNotAvailable(
+            f"pidfd_getfd(pid={pid}, fd={remote_fd}): {os.strerror(e)}")
+    # pidfd_getfd sets FD_CLOEXEC on the new fd
+    return RemoteFd(pid, remote_fd, local)
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +246,39 @@ def open_mem_via_agent(pid, spawn=None):
 
 
 class MemService:
-    """Per-target memory handles with lazy agent fallback and caching."""
+    """Per-target memory handles and pidfds, with lazy agent fallback.
 
-    def __init__(self):
+    With ``chan``, every pidfd opened is watched in the channel's poll: when
+    its process exits, ``on_exit(pid)`` runs and the pid is forgotten.
+    """
+
+    def __init__(self, chan=None, on_exit=None):
         self._handles = {}
         self.pidfd_cache = {}
+        self._chan = chan
+        self._on_exit = on_exit
+
+    fd_inode = staticmethod(fd_inode)
+
+    def _pidfd(self, pid):
+        pidfd = self.pidfd_cache.get(pid)
+        if pidfd is None:
+            pidfd = _pidfd_open(pid)
+            self.pidfd_cache[pid] = pidfd
+            if self._chan is not None:
+                self._chan.watch(pidfd, functools.partial(self._exited, pid))
+        return pidfd
+
+    def _exited(self, pid):
+        if self._on_exit is not None:
+            self._on_exit(pid)
+        self.forget(pid)
 
     def handle(self, pid):
         h = self._handles.get(pid)
         if h is not None:
             return h
+        self._pidfd(pid)  # watched, so the handle goes when the process does
         try:
             h = open_mem(pid)
         except PermissionError:
@@ -274,7 +294,16 @@ class MemService:
         self.handle(pid).write(addr, data)
 
     def acquire_fd(self, pid, remote_fd):
-        return acquire_fd(pid, remote_fd, pidfd_cache=self.pidfd_cache)
+        """Duplicate the target's fd into this process via pidfd_getfd(2).
+
+        Failure is never fatal to the intercepted syscall: callers mark the
+        fd non-switchable instead.
+        """
+        try:
+            pidfd = self._pidfd(pid)
+        except TargetGone:
+            raise FdNotAvailable(f"pid {pid} exited")
+        return _getfd(pidfd, pid, remote_fd)
 
     def forget(self, pid):
         h = self._handles.pop(pid, None)
@@ -282,17 +311,13 @@ class MemService:
             h.close()
         pidfd = self.pidfd_cache.pop(pid, None)
         if pidfd is not None:
+            if self._chan is not None:
+                self._chan.unwatch(pidfd)
             try:
                 os.close(pidfd)
             except OSError:
                 pass
 
     def close(self):
-        for pid in list(self._handles):
+        for pid in set(self._handles) | set(self.pidfd_cache):
             self.forget(pid)
-        for pid, fd in list(self.pidfd_cache.items()):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self.pidfd_cache.clear()

@@ -2,11 +2,13 @@
 used by unit tests that exercise decision/execution logic without a live
 supervised process."""
 
-import errno
+import socket
 
 from b4ns.errors import FdNotAvailable, MemFault, StaleCookie, TargetGone
 from b4ns.notify import NotificationEvent, Response
+from b4ns.sockaddr import socket_inode
 from b4ns.sysnr import AUDIT_ARCH_X86_64
+from b4ns.targetmem import RemoteFd
 
 
 class FakeMem:
@@ -20,6 +22,9 @@ class FakeMem:
         self.fault_addrs = set()
         self.writes = []  # (pid, addr, bytes)
         self.fd_probe = None  # callable(pid, fd) -> RemoteFd-like, or raises
+        # (pid, fd) -> inode of the socket last duplicated from it: the
+        # target's fd holds that socket until a test says otherwise
+        self.inodes = {}
 
     def _space(self, pid):
         return self.spaces.setdefault(pid, bytearray(0x1000))
@@ -56,7 +61,12 @@ class FakeMem:
     def acquire_fd(self, pid, fd):
         if self.fd_probe is None:
             raise FdNotAvailable(f"no probe configured for ({pid},{fd})")
-        return self.fd_probe(pid, fd)
+        dup = self.fd_probe(pid, fd)
+        self.inodes[(pid, fd)] = socket_inode(dup.local_fd)
+        return dup
+
+    def fd_inode(self, pid, fd):
+        return self.inodes.get((pid, fd))
 
     def close(self):
         pass
@@ -93,6 +103,12 @@ class FakeChannel:
 
     def last_response(self):
         return self.responses[-1][1]
+
+
+def held_dup(pid=1000, fd=3):
+    """The duplicate a connect holds of the target's fd: here, of a fresh,
+    unconnected TCP socket."""
+    return RemoteFd(pid, fd, socket.socket().detach())
 
 
 def make_event(cookie=1, pid=1000, nr=42, args=(3, 0, 0, 0, 0, 0),

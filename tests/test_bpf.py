@@ -21,7 +21,12 @@ from b4ns.bpf import (
     SECCOMP_RET_USER_NOTIF,
     build_notify_filter,
 )
-from b4ns.registry import UNHOOKED_IOCTLS, SocketRegistry, SocketStatus
+from b4ns.registry import (
+    COPIED_OPTIONS,
+    UNHOOKED_IOCTLS,
+    SocketRegistry,
+    SocketStatus,
+)
 from b4ns.supervisor import SupervisorInstance
 from b4ns.sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, HOOKED_SYSCALLS, NR
 from b4ns.targetmem import RemoteFd
@@ -71,10 +76,14 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("name,cmd", [
         ("setsockopt", 0), ("ioctl", 0x8913),
-        ("connect", 0), ("bind", 0), ("getpeername", 0), ("close", 0),
+        ("connect", 0), ("bind", 0), ("getpeername", 0),
     ])
     def test_kept_syscalls_notify(self, name, cmd):
         assert verdict(name, cmd) == NOTIF
+
+    def test_close_passes(self):
+        # a stale record is dropped on the fd's next sight or at exit
+        assert verdict("close") == ALLOW
 
     @pytest.mark.parametrize("cmd", [
         fcntl.F_GETFL, fcntl.F_GETFD, fcntl.F_SETFD, fcntl.F_SETFL,
@@ -115,6 +124,46 @@ class TestVerdicts:
         # the kernel takes cmd as an unsigned int
         assert verdict(name, cmd | 1 << 32) == verdict(name, cmd)
         assert verdict(name, cmd | 0xFFFFFFFF << 32) == verdict(name, cmd)
+
+
+def setsockopt(level, optname):
+    return run_filter(NR["setsockopt"], args=(3, level, optname, 0, 4))
+
+
+class TestSetsockoptVerdicts:
+    """The options the switch copies from the kernel pass; any other
+    (level, optname) pair is recorded by the supervisor."""
+
+    @pytest.mark.parametrize("level,optname", COPIED_OPTIONS,
+                             ids=lambda v: str(v))
+    def test_copied_options_pass(self, level, optname):
+        assert setsockopt(level, optname) == ALLOW
+
+    @pytest.mark.parametrize("level,optname", [
+        (socket.IPPROTO_IP, socket.IP_TOS),
+        (socket.SOL_SOCKET, socket.SO_DEBUG),
+    ], ids=["IP_TOS", "SO_DEBUG"])
+    def test_same_optname_under_another_level_notifies(self, level, optname):
+        # both are 1, as TCP_NODELAY is
+        assert optname == socket.TCP_NODELAY
+        assert setsockopt(socket.IPPROTO_TCP, optname) == ALLOW
+        assert setsockopt(level, optname) == NOTIF
+
+    def test_sndbuf_notifies(self):
+        # setting it locks the buffer size: recorded and replayed instead
+        assert setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) == NOTIF
+
+    @pytest.mark.parametrize("junk", [1, 0xFFFFFFFF, socket.IPPROTO_TCP])
+    def test_low_words_decide(self, junk):
+        # the kernel takes level and optname as ints
+        hi = junk << 32
+        tcp, nodelay = socket.IPPROTO_TCP, socket.TCP_NODELAY
+        assert setsockopt(tcp | hi, nodelay | hi) == ALLOW
+        assert setsockopt(socket.SOL_SOCKET | hi,
+                          socket.SO_SNDBUF | hi) == NOTIF
+        # a listed value in the upper half does not count
+        assert setsockopt(hi, nodelay) == NOTIF
+        assert setsockopt(tcp, socket.TCP_MAXSEG | nodelay << 32) == NOTIF
 
 
 def test_jumps_are_forward_and_land_inside():

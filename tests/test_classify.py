@@ -39,23 +39,24 @@ def test_unknown_names_are_not_hooked():
         assert classify_syscall(name) is SyscallClass.NOT_HOOKED
 
 
-def test_hooked_set_is_config_connection_status_close_only():
+def test_hooked_set_is_config_connection_status_only():
     hooked_classes = {classify_syscall(n) for n in HOOKED_SYSCALLS}
     assert hooked_classes == {
         SyscallClass.CONFIGURATION, SyscallClass.CONNECTION,
-        SyscallClass.STATUS, SyscallClass.CLOSE,
+        SyscallClass.STATUS,
     }
-    # creation, derivation and the data path stay un-intercepted
-    for name in ("socket", "accept4", "read", "write", "sendfile"):
+    # creation, derivation, the data path and close stay un-intercepted
+    for name in ("socket", "accept4", "read", "write", "sendfile", "close"):
         assert name not in HOOKED_SYSCALLS
 
 
 def test_hooked_set_is_what_the_supervisor_acts_on():
-    # getsockopt, getsockname and shutdown would only ever be continued, and
-    # the fd flags fcntl sets are read from the kernel at switch time
-    assert len(HOOKED_SYSCALLS) == 6
+    # getsockopt, getsockname and shutdown would only ever be continued, the
+    # fd flags fcntl sets are read from the kernel at switch time, and a
+    # closed fd's record goes on its next sight or when its process exits
+    assert len(HOOKED_SYSCALLS) == 5
     assert set(HOOKED_SYSCALLS) == {"setsockopt", "ioctl", "connect", "bind",
-                                    "getpeername", "close"}
+                                    "getpeername"}
 
 
 def test_every_hooked_syscall_has_a_number():

@@ -13,6 +13,7 @@ from b4ns.daemon import (
     ManagedInstance,
     serve_api,
 )
+from b4ns.engine import PublishMapping
 from b4ns.errors import ChannelClosed, DuplicateContainer, UnknownContainer
 
 from conftest import launch_shim, ShimRun
@@ -179,6 +180,17 @@ class IdleChannel:
         self.closed = True
 
 
+class RecordingPublisher:
+    def __init__(self):
+        self.calls = []
+
+    def publish(self, mapping):
+        self.calls.append(("publish", mapping))
+
+    def withdraw(self, mapping):
+        self.calls.append(("withdraw", mapping))
+
+
 class TestDaemonDirect:
     def test_attach_timeout_marks_failed(self, tmp_path):
         spec = ContainerSpec("t1", str(tmp_path / "never.sock"))
@@ -204,7 +216,10 @@ class TestDaemonDirect:
         finally:
             d.shutdown()
 
-    def test_stop_during_attach_is_never_undone(self, tmp_path, monkeypatch):
+    def _stop_during_attach(self, monkeypatch, spec, publisher=None):
+        """Start an instance whose attach blocks until stop() has set
+        ``stopping``, then let a runtime hand off; return the instance and
+        the channel attach returned."""
         entered, release = threading.Event(), threading.Event()
         chan = IdleChannel()
 
@@ -214,7 +229,7 @@ class TestDaemonDirect:
             return chan
 
         monkeypatch.setattr(notify, "attach", blocked_attach)
-        inst = ManagedInstance(ContainerSpec("s", str(tmp_path / "s.sock")))
+        inst = ManagedInstance(spec, publisher=publisher)
         inst.start()
         assert entered.wait(5)
         stopper = threading.Thread(target=inst.stop)
@@ -226,9 +241,23 @@ class TestDaemonDirect:
         stopper.join(10)
         inst._thread.join(15)
         assert not stopper.is_alive() and not inst._thread.is_alive()
+        return inst, chan
+
+    def test_stop_during_attach_is_never_undone(self, tmp_path, monkeypatch):
+        inst, chan = self._stop_during_attach(
+            monkeypatch, ContainerSpec("s", str(tmp_path / "s.sock")))
         assert inst.status().state == "stopped"
         assert inst.supervisor is None
         assert chan.closed and chan.polls == 0
+
+    def test_stop_during_attach_never_publishes(self, tmp_path, monkeypatch):
+        publisher = RecordingPublisher()
+        spec = ContainerSpec("p", str(tmp_path / "p.sock"),
+                             publish=[PublishMapping.parse("18090:80")])
+        inst, chan = self._stop_during_attach(monkeypatch, spec, publisher)
+        assert inst.status().state == "stopped"
+        assert [c for c in publisher.calls if c[0] == "publish"] == []
+        assert chan.closed
 
     def test_spec_from_dict_parses_publish_forms(self):
         spec = ContainerSpec.from_dict({

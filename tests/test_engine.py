@@ -21,7 +21,7 @@ from b4ns.sockaddr import (
     parse_sockaddr,
 )
 
-from fakes import FakeChannel, FakeMem, make_event
+from fakes import FakeChannel, FakeMem, held_dup, make_event
 
 
 def trackable():
@@ -373,7 +373,7 @@ class TestExecuteSwitchRollback:
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
         out = engine.execute_switch(ev, rec, decision, orig, chan, mem,
-                                    SocketRegistry())
+                                    SocketRegistry(), held_dup())
         assert out is None
         assert chan.last_response().kind == "continue"
         assert chan.injections == []
@@ -395,7 +395,7 @@ class TestExecuteSwitchRollback:
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
         out = engine.execute_switch(ev, trackable(), decision, orig, chan, mem,
-                                    SocketRegistry())
+                                    SocketRegistry(), held_dup())
         assert out is None
         assert [w[2] for w in mem.writes] == [
             pack_sockaddr_in("127.0.0.1", 8080), orig]
@@ -409,7 +409,7 @@ class TestExecuteSwitchRollback:
         rec = trackable()
         rec.add_option(OptionEvent("setsockopt", (9999, 9999, b"\x01")))
         out = engine.execute_switch(ev, rec, SwitchDecision("switch"), raw,
-                                    chan, mem, SocketRegistry())
+                                    chan, mem, SocketRegistry(), held_dup())
         assert out is None
         assert chan.injections == []
         assert chan.last_response().kind == "continue"
@@ -431,7 +431,7 @@ class TestExecuteSwitchRollback:
                                   hport=busy.getsockname()[1])]))
             fds_before = len(os.listdir("/proc/self/fd"))
             out = engine.execute_switch(ev, rec, decision, raw, chan, mem,
-                                        SocketRegistry())
+                                        SocketRegistry(), held_dup())
             assert len(os.listdir("/proc/self/fd")) == fds_before
         finally:
             busy.close()

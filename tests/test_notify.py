@@ -7,6 +7,8 @@ import fcntl
 import os
 import socket
 import struct
+import subprocess
+import sys
 import termios
 import threading
 import time
@@ -183,6 +185,45 @@ class TestNextEvent:
             late.cancel()
             chan.close()
             os.close(w)
+
+    def test_exit_of_a_watched_process_runs_its_callback_once(self):
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        pidfd = os.pidfd_open(proc.pid)
+        exited = []
+        chan.watch(pidfd, lambda: exited.append(proc.pid))
+        proc.wait()
+        try:
+            # the callback runs inside the wait, which goes on waiting
+            with pytest.raises(TimeoutError):
+                chan.next_event(timeout=0.5)
+            assert exited == [proc.pid]
+            with pytest.raises(TimeoutError):
+                chan.next_event(timeout=0.01)
+            assert exited == [proc.pid]
+        finally:
+            chan.close()
+            os.close(w)
+            os.close(pidfd)
+
+    def test_hangup_runs_pending_exit_callbacks_first(self):
+        # the notify fd hangs up before the exiting tasks' pidfds turn
+        # readable; a pipe that never does stands for such a pidfd
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        pr, pw = os.pipe()
+        exited = []
+        chan.watch(pr, lambda: exited.append(pr))
+        os.close(w)
+        try:
+            with pytest.raises(ChannelClosed):
+                chan.next_event(timeout=1.0)
+            assert exited == [pr]
+        finally:
+            chan.close()
+            os.close(pr)
+            os.close(pw)
 
     def test_wake_after_close_is_harmless(self):
         r, w = os.pipe()

@@ -1,5 +1,7 @@
-"""Socket registry: lifecycle state machine, option recording, fd reuse."""
+"""Socket registry: lifecycle state machine, option recording, fd reuse,
+and the options a switch copies from the kernel."""
 
+import os
 import socket
 
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from b4ns.errors import FdNotAvailable, ReplayFailed
 from b4ns.registry import (
+    COPIED_OPTIONS,
     IllegalTransition,
     OptionEvent,
     SocketRecord,
     SocketRegistry,
     SocketStatus,
+    copy_options,
     replay_options,
 )
 from b4ns.targetmem import RemoteFd
@@ -171,6 +175,64 @@ class TestFdReuse:
         finally:
             srv.close()
 
+    def test_fd_holding_another_socket_starts_clean(self):
+        # close is not hooked: the reuse shows as another inode
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            mem = FakeMem()
+            mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
+            reg = SocketRegistry()
+            rec = reg.ensure_registered(1, 3, mem)
+            reg.record_option(rec, OptionEvent("setsockopt", (1, 7, b"")))
+            assert reg.ensure_registered(1, 3, mem) is rec
+            mem.inodes[(1, 3)] += 1
+            fresh = reg.ensure_registered(1, 3, mem)
+            assert fresh is not rec and fresh.options == []
+            assert rec.status is SocketStatus.CLOSED
+        finally:
+            srv.close()
+
+    def test_non_socket_never_matches_a_socket(self, tmp_path):
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            with open(tmp_path / "f", "w") as f:
+                mem = FakeMem()
+                mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
+                reg = SocketRegistry()
+                rec = reg.ensure_registered(1, 3, mem)
+                mem.inodes[(1, 3)] = None  # the number now holds a file
+                assert reg.lookup(1, 3, mem) is None
+                mem.fd_probe = lambda pid, fd: RemoteFd(
+                    pid, fd, os_dup_fd(f.fileno()))
+                file_rec = reg.ensure_registered(1, 3, mem)
+                assert file_rec is not rec and file_rec.inode is None
+                assert file_rec.status is SocketStatus.NON_SWITCHABLE
+                mem.inodes[(1, 3)] = rec.inode  # a socket again
+                assert reg.lookup(1, 3, mem) is None
+        finally:
+            srv.close()
+
+    def test_held_duplicate_serves_the_first_sight(self):
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            mem = FakeMem()  # no fd_probe: any duplicate it made would raise
+            reg = SocketRegistry()
+            dup = RemoteFd(1, 3, os_dup(srv))
+            rec = reg.ensure_registered(1, 3, mem, dup)
+            assert rec.status is SocketStatus.TRACKABLE
+            assert rec.inode == os.fstat(srv.fileno()).st_ino
+            os.fstat(dup.local_fd)  # still open: the caller closes it
+            assert reg.ensure_registered(1, 3, mem, dup) is rec
+            dup.close()
+        finally:
+            srv.close()
+
+    def test_switched_record_holds_the_host_socket(self):
+        reg = SocketRegistry()
+        rec = trackable()
+        reg.mark_switched(rec, inode=4242)
+        assert rec.inode == 4242
+
     def test_close_on_unknown_fd_is_noop(self):
         assert SocketRegistry().on_close(1, 99) is None
 
@@ -226,6 +288,39 @@ class TestReplay:
                 replay_options(rec, s)
         finally:
             s.close()
+
+
+class TestCopyOptions:
+    def test_values_set_on_the_target_are_copied(self):
+        values = {(socket.SOL_SOCKET, socket.SO_REUSEADDR): 1,
+                  (socket.SOL_SOCKET, socket.SO_REUSEPORT): 1,
+                  (socket.SOL_SOCKET, socket.SO_KEEPALIVE): 1,
+                  (socket.IPPROTO_TCP, socket.TCP_NODELAY): 1,
+                  (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE): 77,
+                  (socket.IPPROTO_TCP, socket.TCP_KEEPINTVL): 9,
+                  (socket.IPPROTO_TCP, socket.TCP_KEEPCNT): 4}
+        assert set(values) == set(COPIED_OPTIONS)
+        with socket.socket() as target, socket.socket() as host:
+            for (level, name), value in values.items():
+                target.setsockopt(level, name, value)
+            copy_options(target.fileno(), host)
+            assert {k: host.getsockopt(*k) for k in values} == values
+            target.getsockopt(socket.SOL_SOCKET, socket.SO_TYPE)  # still open
+
+    def test_defaults_are_left_alone(self):
+        class Untouchable(socket.socket):
+            def setsockopt(self, *args):
+                raise AssertionError(f"set {args}")
+
+        with socket.socket() as target, Untouchable() as host:
+            copy_options(target.fileno(), host)
+
+    def test_unreadable_option_raises(self):
+        # a unix stream socket has no TCP options: the switch rolls back
+        a, b = socket.socketpair()
+        with a, b, socket.socket() as host:
+            with pytest.raises(OSError):
+                copy_options(a.fileno(), host)
 
 
 _TARGETS = st.sampled_from(list(SocketStatus))

@@ -6,8 +6,10 @@ echo server proves the in-namespace socket was replaced by a host socket.
 """
 
 import fcntl
+import os
 import socket
 import termios
+import time
 
 import pytest
 
@@ -88,6 +90,45 @@ class TestSwitchedSocketLifetime:
             run.wait()
             srv.close()
         assert run.sup.counters.sockets_switched == n
+
+    def test_exited_children_leave_no_state(self, tmp_path):
+        n = 50
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(n + 1)  # never accepted: no fd of ours per connection
+        host, port = srv.getsockname()
+        connect = {"op": "connect", "host": host, "port": port}
+        # op_fork waits for each child: they run one at a time
+        script = ([{"op": "socket"}, connect,
+                   {"op": "barrier", "name": "before"}]
+                  + [{"op": "fork", "ops": [{"op": "socket"}, connect]}] * n
+                  + [{"op": "barrier", "name": "after"}])
+        run = supervise(tmp_path, script)
+        sup = run.sup
+
+        def state():
+            return (len(sup.registry.snapshot()), len(sup.mem.pidfd_cache),
+                    len(sup.mem._handles), len(os.listdir("/proc/self/fd")))
+
+        try:
+            assert run.readline()["ok"]
+            assert run.readline()["name"] == "before"
+            before = state()
+            assert before[:3] == (1, 1, 1)  # the parent's own connect
+            run.release_barrier()
+            lines = [run.readline() for _ in range(n + 1)]
+            assert [l.get("ok") for l in lines[:n]] == [True] * n
+            assert lines[n]["name"] == "after"
+            # the last child's exit may still be on its way to the loop
+            deadline = time.monotonic() + 5
+            while state() != before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert state() == before
+        finally:
+            run.release_barrier()
+            run.wait()
+            srv.close()
+        assert sup.counters.sockets_switched == n + 1
 
     @pytest.mark.parametrize("pre,flags", [
         ([], fcntl.FD_CLOEXEC),  # Python's sockets are non-inheritable
@@ -262,6 +303,67 @@ class TestUnhookedCallsOnSwitchedSocket:
         assert_never_notified(run.sup)
 
 
+def getsockopts(options):
+    return [{"op": "getsockopt", "level": level, "optname": name}
+            for level, name, *_ in options]
+
+
+def setsockopts(options):
+    return [{"op": "setsockopt", "level": level, "optname": name,
+             "value": value} for level, name, value in options]
+
+
+class TestOptionsWithoutCloseHook:
+    """close is not hooked: a record goes when its fd number turns out to
+    hold another socket; the copied options are read from the kernel."""
+
+    RECORDED = [(socket.SOL_SOCKET, socket.SO_SNDBUF, 262144)]
+    COPIED = [(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1),
+              (socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1),
+              (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE, 77)]
+
+    def _both(self, tmp_path, script):
+        run = supervise(tmp_path, script, keep_audit=True)
+        run.wait()
+        ctl = run_control(tmp_path, script, netns="host")
+        assert all(r["ok"] for r in run.results("connect"))
+        assert all(r["ok"] for r in ctl.results("connect"))
+        return run, ctl
+
+    def test_reused_number_starts_without_the_old_options(self, tmp_path,
+                                                          echo_server):
+        connect = {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port}
+        options = self.RECORDED + self.COPIED
+        script = ([{"op": "socket"}] + setsockopts(options)
+                  + [connect, {"op": "close"},
+                     # the lowest free number: the one just closed
+                     {"op": "socket"}, connect]
+                  + getsockopts(options) + [{"op": "close"}])
+        run, ctl = self._both(tmp_path, script)
+        assert run.sup.counters.sockets_switched == 2
+        got = [r["value"] for r in run.results("getsockopt")]
+        assert got == [r["value"] for r in ctl.results("getsockopt")]
+        assert got[1:3] == [0, 0]  # nothing of the first socket's
+
+    def test_copied_options_after_connect_never_notify(self, tmp_path,
+                                                       echo_server):
+        options = self.RECORDED + self.COPIED
+        script = ([{"op": "socket"}] + setsockopts(self.RECORDED)
+                  + [{"op": "connect", "host": echo_server.host,
+                      "port": echo_server.port}]
+                  + setsockopts(self.COPIED)  # as Go's net package does
+                  + getsockopts(options) + [{"op": "close"}])
+        run, ctl = self._both(tmp_path, script)
+        assert run.sup.counters.sockets_switched == 1
+        got = [r["value"] for r in run.results("getsockopt")]
+        assert got == [r["value"] for r in ctl.results("getsockopt")]
+        assert got[1:] == [1, 1, 77]
+        # only SO_SNDBUF was notified, recorded and replayed
+        setsockopt = [a for _, name, a in run.sup.audit if name == "setsockopt"]
+        assert setsockopt == ["continue"]
+
+
 PUBLISH_ENV = lambda hport: NetEnvironment(
     container_cidrs=["10.4.0.0/24"],
     published_ports=[PublishMapping("10.4.0.2", 80, "127.0.0.1", hport)],
@@ -358,6 +460,44 @@ class TestRewriteAndSpoof:
         assert (peer["addr"], peer["port"]) == ("10.4.0.2", 80)
         srv.kill()
         srv.sup.join(5)
+
+
+    def test_dup2_over_rewritten_fd_reports_the_real_peer(self, tmp_path,
+                                                           echo_server):
+        hport = 18089
+        env = NetEnvironment(
+            container_cidrs=["10.4.0.0/24"], host_loopback_allowed=True,
+            published_ports=[PublishMapping("10.4.0.2", 80, "127.0.0.1",
+                                            hport)])
+        srv = supervise(tmp_path, [{"op": "socket"},
+                                   {"op": "bind", "host": "10.4.0.2",
+                                    "port": 80},
+                                   {"op": "listen"},
+                                   {"op": "barrier", "name": "listening"},
+                                   {"op": "serve_echo"}],
+                        env=env, name="srv")
+        assert srv.readline()["ok"]
+        assert srv.readline()["name"] == "listening"
+        srv.release_barrier()
+        cli = supervise(tmp_path, [
+            {"op": "socket"},
+            {"op": "connect", "host": "10.4.0.2", "port": 80},
+            {"op": "getpeername"},
+            {"op": "socket", "sock": "s1"},
+            {"op": "connect", "sock": "s1", "host": echo_server.host,
+             "port": echo_server.port},
+            {"op": "dup2", "sock": "s1", "to": "s0"},
+            {"op": "getpeername"},
+            {"op": "close"},
+            {"op": "close", "sock": "s1"},
+        ], env=env, name="cli")
+        cli.wait()
+        srv.wait()
+        assert all(r["ok"] for r in cli.results("connect"))
+        assert cli.sup.counters.sockets_switched == 2
+        peers = [(r["addr"], r["port"]) for r in cli.results("getpeername")]
+        assert peers == [("10.4.0.2", 80),
+                         (echo_server.host, echo_server.port)]
 
 
 class TestRollback:

@@ -10,11 +10,11 @@ import sys
 import pytest
 
 from b4ns.errors import AgentFailed, FdNotAvailable, MemFault, TargetGone
+from b4ns.notify import NotificationChannel
 from b4ns.sockaddr import probe_socket_kind
 from b4ns.targetmem import (
     MAX_RW,
     MemService,
-    acquire_fd,
     open_mem,
     open_mem_via_agent,
 )
@@ -114,6 +114,14 @@ class TestMemHandle:
             open_mem(proc.pid)
 
 
+def acquire_fd(pid, fd):
+    svc = MemService()
+    try:
+        return svc.acquire_fd(pid, fd)
+    finally:
+        svc.close()  # its pidfd; the duplicate stays open
+
+
 class TestAcquireFd:
     def test_socket_fd_duplicates_and_probes(self, child):
         proc, _, sock_fd = child
@@ -179,6 +187,27 @@ class TestMemService:
             assert h1 is h2
         finally:
             svc.close()
+
+    def test_exit_forgets_the_process(self, child):
+        proc, addr, sock_fd = child
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        exited = []
+        svc = MemService(chan, on_exit=exited.append)
+        try:
+            svc.read(proc.pid, addr, 4)
+            svc.acquire_fd(proc.pid, sock_fd).close()
+            assert list(svc.pidfd_cache) == [proc.pid]
+            proc.kill()
+            proc.wait()
+            with pytest.raises(TimeoutError):
+                chan.next_event(timeout=0.5)
+            assert exited == [proc.pid]
+            assert svc.pidfd_cache == {} and svc._handles == {}
+        finally:
+            svc.close()
+            chan.close()
+            os.close(w)
 
     def test_forget_drops_handle(self, child):
         proc, addr, _ = child
