@@ -18,6 +18,7 @@ kernel, and the target holds the only reference to the host socket, so the
 peer sees FIN when the target exits.
 """
 
+import _socket
 import errno
 import fcntl
 import ipaddress
@@ -37,7 +38,10 @@ from .sockaddr import (
     parse_sockaddr,
     socket_inode,
 )
-from .targetmem import fd_flags
+
+# a fresh socket's file flags, close-on-exec aside: a target fd with these
+# needs no F_SETFL on the host socket
+_FRESH_FLAGS = os.O_RDWR
 
 log = logging.getLogger(__name__)
 
@@ -124,8 +128,9 @@ SwitchDecision.SWITCH = SwitchDecision("switch")
 
 
 def decide(rec, op, env: NetEnvironment, probes=None, multinode=None):
-    """Verdict for one connect/bind attempt.  Uncertainty degrades to
-    ignore: the unswitched path is slow but always correct."""
+    """Verdict for one connect/bind attempt on a socket the caller found
+    switchable, ``rec`` its record.  Uncertainty degrades to ignore: the
+    unswitched path is slow but always correct."""
     kind, family, addr, port = op
     if rec.status is not SocketStatus.TRACKABLE:
         return SwitchDecision.IGNORE
@@ -188,8 +193,8 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
     copy the copied ones from ``dup`` (the caller's duplicate of the
     target's fd, which this closes), bind it to the host endpoint (bind) or
     rewrite the sockaddr (rewrite), validate the cookie once, copy the
-    target fd's flags onto the host socket and inject it under the target's
-    fd number.  ``raw`` is the sockaddr as ``parse_connection_args`` read
+    target fd's flags onto the host socket where they differ from its own
+    and inject it under the target's fd number.  ``raw`` is the sockaddr as ``parse_connection_args`` read
     it; any failure before the injection restores the rewritten bytes from
     it and lets the original syscall go ahead unchanged.  The host socket
     and ``dup`` are closed on every path, and exactly one response is sent
@@ -205,9 +210,9 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
     saved = None  # original sockaddr bytes under the rewrite
     injected = False
     try:
-        host_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        host_sock = _socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         replay_options(rec, host_sock)
-        copy_options(dup.local_fd, host_sock)
+        copy_options(dup.socket(), host_sock)
         # closed now, the target's fd holds the last reference to its
         # socket, and the injection releases it in the target
         dup.close()
@@ -222,8 +227,9 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
             host_sock.bind(decision.new_dest)
         if not chan.validate(event):
             return None
-        flags = fd_flags(event.pid, event.fd_arg)
-        fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
+        flags = mem.fd_flags(event.pid, event.fd_arg)
+        if flags & ~os.O_CLOEXEC != _FRESH_FLAGS:
+            fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
         inode = socket_inode(host_sock.fileno())
         chan.inject_fd(event, host_sock.fileno(), event.fd_arg,
                        cloexec=bool(flags & os.O_CLOEXEC))

@@ -1,12 +1,16 @@
-"""Per-(pid, fd) socket registry and the seven-class syscall taxonomy.
+"""Per-(pid, fd) socket registry, the switchability probe and the
+seven-class syscall taxonomy.
 
-Sockets are discovered lazily: creation is never intercepted, so the first
-hooked syscall naming an unknown fd triggers a probe of the duplicated fd.
-Neither is close: a record holds its socket's inode, and a record whose fd
-no longer holds that socket is dropped when the fd is next seen.  Options
-outside COPIED_OPTIONS are recorded for replay onto the host-side socket at
-switch time; the copied ones and the fd's file status flags are read from
-the kernel then instead.
+Whether a socket can be switched is read from the live socket (``switchable``)
+at every connect and bind, so a record holds only what the kernel cannot
+tell: the options outside COPIED_OPTIONS, recorded for replay onto the
+host-side socket at switch time; a non-switchable mark (an unreplayable
+ioctl or option, or a failed replay); and a rewritten connection's spoofed
+peer.  Creation is never intercepted, so a record starts at the first
+configuration call that names the fd.  Neither is close: a record holds its
+socket's inode, and a record whose fd no longer holds that socket is dropped
+when the fd is next seen.  The copied options and the fd's file status flags
+are read from the kernel at switch time.
 """
 
 import enum
@@ -19,9 +23,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import FdNotAvailable, ReplayFailed
-from .sockaddr import probe_socket_kind, socket_inode
+from .sockaddr import socket_inode
 
 log = logging.getLogger(__name__)
+
+# tcp_info.tcpi_state of a socket neither connected, connecting nor listening
+TCP_CLOSE = 7
+_UNBOUND = ("0.0.0.0", 0)
 
 # ioctls that change nothing a switch must replay: they read state, or set
 # a flag (close-on-exec, O_NONBLOCK) that the switch copies from the
@@ -91,6 +99,22 @@ def classify_syscall(name):
     """Total classification: the 26 socket-related syscalls map to their
     class, everything else to NOT_HOOKED."""
     return _CLASS_TABLE.get(name, SyscallClass.NOT_HOOKED)
+
+
+def switchable(dup):
+    """True if the socket ``dup`` (a held duplicate of the target's fd) can
+    be replaced by a fresh host socket: AF_INET, TCP, in TCP_CLOSE (what
+    inet_stream_connect and inet_bind require) and unbound, since a switch
+    cannot carry a bind over.  Anything else, a non-socket included, is
+    False."""
+    try:
+        sock = dup.socket()
+        return (sock.family == socket.AF_INET
+                and sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_INFO,
+                                    1)[0] == TCP_CLOSE
+                and sock.getsockname() == _UNBOUND)
+    except OSError:  # not a socket, or no TCP_INFO: not TCP
+        return False
 
 
 class SocketStatus(enum.Enum):
@@ -170,61 +194,46 @@ class SocketRegistry:
         with self._lock:
             return self._records.get((pid, fd))
 
-    def ensure_registered(self, pid, fd, mem, dup=None):
+    def ensure_registered(self, pid, fd, mem):
         """Return the record for (pid, fd), probing the fd on first sight.
 
-        ``dup``, a duplicate of the fd that the caller holds and closes,
-        serves the identity check and the probe; without one the identity
-        comes from ``mem.fd_inode`` and a first sight takes its own.  A
-        record whose socket the fd no longer holds (closed and the number
+        A record whose socket the fd no longer holds (closed and the number
         reused, or another fd dup2'd over it) is dropped through on_close
-        and the fd is taken as a first sight.
-
-        Probe outcome: not a socket or not SOCK_STREAM -> non-switchable;
-        already connected (derived fd) -> non-switchable; otherwise trackable.
-        Probe failure always degrades to non-switchable, never errors the
-        intercepted syscall.
+        and the fd is taken as a first sight.  A first sight is trackable
+        if ``switchable`` holds for the fd, and non-switchable otherwise,
+        including when the fd cannot be duplicated: a probe failure never
+        errors the intercepted syscall.
         """
         with self._lock:
-            rec = self._records.get((pid, fd))
+            rec = self.lookup(pid, fd, mem)
             if rec is not None:
-                inode = (socket_inode(dup.local_fd) if dup is not None
-                         else mem.fd_inode(pid, fd))
-                if inode == rec.inode:
-                    return rec
-                self.on_close(pid, fd)
+                return rec
             rec = SocketRecord(pid=pid, fd=fd)
-            probe = dup
-            if probe is None:
-                try:
-                    probe = mem.acquire_fd(pid, fd)
-                except FdNotAvailable as e:
-                    log.debug("probe of (%d,%d) failed: %s", pid, fd, e)
-            if probe is None:
+            try:
+                dup = mem.acquire_fd(pid, fd)
+            except FdNotAvailable as e:
+                log.debug("probe of (%d,%d) failed: %s", pid, fd, e)
                 rec.transition(SocketStatus.NON_SWITCHABLE)
             else:
                 try:
-                    rec.inode = socket_inode(probe.local_fd)
-                    is_sock, sotype, connected = probe_socket_kind(
-                        probe.local_fd)
-                    if not is_sock or sotype != socket.SOCK_STREAM:
-                        rec.transition(SocketStatus.NON_SWITCHABLE)
-                    elif connected:
-                        rec.transition(SocketStatus.NON_SWITCHABLE)
-                    else:
-                        rec.transition(SocketStatus.TRACKABLE)
+                    rec.inode = socket_inode(dup.local_fd)
+                    rec.transition(SocketStatus.TRACKABLE if switchable(dup)
+                                   else SocketStatus.NON_SWITCHABLE)
                 finally:
-                    if probe is not dup:
-                        probe.close()
+                    dup.close()
             self._records[(pid, fd)] = rec
             return rec
 
-    def lookup(self, pid, fd, mem):
+    def lookup(self, pid, fd, mem, dup=None):
         """The record for (pid, fd) while the fd still holds its socket;
-        a stale one is dropped through on_close and None returned."""
+        a stale one is dropped through on_close and None returned.  The
+        fd's identity comes from ``dup``, a held duplicate of it, if given,
+        else from ``mem.fd_inode``."""
         with self._lock:
             rec = self._records.get((pid, fd))
-            if rec is not None and mem.fd_inode(pid, fd) != rec.inode:
+            if rec is not None and rec.inode != (
+                    socket_inode(dup.local_fd) if dup is not None
+                    else mem.fd_inode(pid, fd)):
                 self.on_close(pid, fd)
                 return None
             return rec
@@ -234,16 +243,27 @@ class SocketRegistry:
             return rec.add_option(ev)
 
     def mark_non_switchable(self, rec):
+        """Mark ``rec`` non-switchable and keep it: the live socket cannot
+        tell."""
         with self._lock:
             if rec.status is SocketStatus.TRACKABLE:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
+            self._records.setdefault((rec.pid, rec.fd), rec)
 
     def mark_switched(self, rec, spoofed_peer=None, inode=None):
-        """``inode`` is the injected host socket's: the fd holds it now."""
+        """``inode`` is the injected host socket's: the fd holds it now.
+        The record is kept only for what the live socket cannot tell: its
+        options (another connect on the fd replays them) or a spoofed
+        peer."""
         with self._lock:
             rec.transition(SocketStatus.SWITCHED)
             rec.spoofed_peer = spoofed_peer
             rec.inode = inode
+            key = (rec.pid, rec.fd)
+            if rec.options or spoofed_peer is not None:
+                self._records[key] = rec
+            elif self._records.get(key) is rec:
+                del self._records[key]
 
     def on_close(self, pid, fd):
         """Evict the record; the fd number becomes fresh for reuse.  Called
@@ -299,19 +319,13 @@ def _fresh_socket_options():
                      for level, name in COPIED_OPTIONS)
 
 
-def copy_options(src_fd, host_socket: socket.socket):
+def copy_options(src, host_socket):
     """Set each of COPIED_OPTIONS on ``host_socket`` to its value on the
-    socket ``src_fd`` (a held duplicate of the target's), where that value
-    differs from a fresh socket's.  An OSError propagates: the caller rolls
-    the switch back.
+    socket ``src`` (the view of a held duplicate of the target's), where
+    that value differs from a fresh socket's.  An OSError propagates: the
+    caller rolls the switch back.
     """
-    # proto given: wrapping the fd then makes no syscall
-    src = socket.socket(socket.AF_INET, socket.SOCK_STREAM, 0, fileno=src_fd)
-    try:
-        for (level, name), default in zip(COPIED_OPTIONS,
-                                          _fresh_socket_options()):
-            value = src.getsockopt(level, name)
-            if value != default:
-                host_socket.setsockopt(level, name, value)
-    finally:
-        src.detach()  # the caller closes the duplicate
+    for (level, name), default in zip(COPIED_OPTIONS, _fresh_socket_options()):
+        value = src.getsockopt(level, name)
+        if value != default:
+            host_socket.setsockopt(level, name, value)

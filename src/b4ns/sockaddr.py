@@ -1,16 +1,11 @@
-"""sockaddr packing/parsing and raw-fd socket interrogation helpers."""
+"""sockaddr packing/parsing, and the inode of a socket fd."""
 
-import ctypes
-import errno
 import os
 import socket
 import stat
 import struct
 
-_libc = ctypes.CDLL(None, use_errno=True)
-
 SOCKADDR_IN_SIZE = 16
-SO_TYPE = 3
 
 
 def pack_sockaddr_in(addr, port):
@@ -36,39 +31,6 @@ def parse_sockaddr(raw):
         addr = socket.inet_ntop(socket.AF_INET6, raw[8:24])
         return family, addr, port
     return family, None, None
-
-
-def raw_getsockopt_int(fd, level, optname):
-    val = ctypes.c_int(0)
-    length = ctypes.c_uint(4)
-    r = _libc.getsockopt(fd, level, optname, ctypes.byref(val),
-                         ctypes.byref(length))
-    if r != 0:
-        raise OSError(ctypes.get_errno(), "getsockopt")
-    return val.value
-
-
-def raw_getpeername(fd):
-    """Peer sockaddr bytes of a raw fd, or None if not connected."""
-    buf = ctypes.create_string_buffer(128)
-    length = ctypes.c_uint(128)
-    r = _libc.getpeername(fd, buf, ctypes.byref(length))
-    if r != 0:
-        e = ctypes.get_errno()
-        if e in (errno.ENOTCONN, errno.EINVAL):
-            return None
-        raise OSError(e, "getpeername")
-    return buf.raw[: length.value]
-
-
-def probe_socket_kind(fd):
-    """(is_socket, type, connected) for a raw fd."""
-    try:
-        sotype = raw_getsockopt_int(fd, socket.SOL_SOCKET, SO_TYPE)
-    except OSError:
-        return False, None, False
-    connected = raw_getpeername(fd) is not None
-    return True, sotype, connected
 
 
 def socket_inode(fd):

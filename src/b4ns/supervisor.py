@@ -16,11 +16,14 @@ from .notify import Response
 from .registry import (
     UNHOOKED_IOCTLS,
     OptionEvent,
+    SocketRecord,
     SocketRegistry,
     SocketStatus,
     classify_syscall,
+    switchable,
     SyscallClass,
 )
+from .sockaddr import socket_inode
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR
 from .targetmem import MemService
 
@@ -138,8 +141,8 @@ class SupervisorInstance:
 
     def _on_status(self, event, name):
         self._audit(event, name, "status")
-        # getpeername is spoofed only on a switched socket, which always has
-        # a record, so an unknown fd is never probed here
+        # getpeername is spoofed only on a rewritten socket, whose record
+        # holds the spoofed peer, so an unknown fd is never probed here
         rec = self.registry.lookup(event.pid, event.fd_arg, self.mem)
         engine.handle_status(event, rec, self.chan, self.mem)
 
@@ -179,7 +182,7 @@ class SupervisorInstance:
     def _on_connection(self, event, name):
         dup = switch = None
         try:
-            # one duplicate serves the probe, the identity check and the
+            # one duplicate serves the identity check, the probe and the
             # option copy; it is closed before the response
             dup = self.mem.acquire_fd(event.pid, event.fd_arg)
             action, switch = self._connection_verdict(event, name, dup)
@@ -203,10 +206,14 @@ class SupervisorInstance:
 
     def _connection_verdict(self, event, name, dup):
         """(action, None) for a connect/bind that continues unswitched, or
-        (verdict, (rec, decision, raw)) for one to switch."""
-        rec = self.registry.ensure_registered(event.pid, event.fd_arg,
-                                              self.mem, dup)
-        if rec.status is not SocketStatus.TRACKABLE:
+        (verdict, (rec, decision, raw)) for one to switch.  The live socket
+        decides; a record only adds what it cannot tell, and one is never
+        created here: a switch without one gets a record that the registry
+        keeps only if it must."""
+        rec = self.registry.lookup(event.pid, event.fd_arg, self.mem, dup)
+        if rec is not None and rec.status is not SocketStatus.TRACKABLE:
+            return "continue", None
+        if not switchable(dup):
             return "continue", None
         try:
             raw, family, addr, port = engine.parse_connection_args(self.mem, event)
@@ -215,6 +222,9 @@ class SupervisorInstance:
         # the sockaddr just read feeds a security decision: revalidate
         if not self.chan.validate(event):
             return "stale", None
+        if rec is None:
+            rec = SocketRecord(event.pid, event.fd_arg, SocketStatus.TRACKABLE,
+                               inode=socket_inode(dup.local_fd))
         decision = engine.decide(
             rec, (name, family, addr, port), self.env,
             probes=self.probes, multinode=self.multinode)

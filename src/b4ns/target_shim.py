@@ -26,6 +26,7 @@ import time
 
 from .bpf import install_notify_filter
 from .notify import ACK_BYTE
+from .sockaddr import pack_sockaddr_in
 
 CLONE_NEWNET = 0x40000000
 SIOCGIFFLAGS = 0x8913
@@ -33,6 +34,8 @@ SIOCSIFFLAGS = 0x8914
 IFF_UP = 1
 
 _libc = ctypes.CDLL(None, use_errno=True)
+_libc.connect.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_uint32)
+_libc.connect.restype = ctypes.c_int
 
 BLOCK = bytes(range(256)) * 4096  # 1 MiB deterministic payload block
 
@@ -114,8 +117,9 @@ class ScriptRunner:
     # -- socket lifecycle ----------------------------------------------------
 
     def op_socket(self, op):
-        """op["flags"] (e.g. SOCK_NONBLOCK) is OR'd into the socket type."""
-        s = socket.socket(socket.AF_INET,
+        """op["flags"] (e.g. SOCK_NONBLOCK) is OR'd into the socket type;
+        op["family"] defaults to AF_INET."""
+        s = socket.socket(op.get("family", socket.AF_INET),
                           socket.SOCK_STREAM | op.get("flags", 0))
         self.socks[op.get("sock", "s0")] = s
 
@@ -149,6 +153,13 @@ class ScriptRunner:
                 self.emit(op="connect", ok=False, err=e.errno or 0)
         except OSError as e:
             self.emit(op="connect", ok=False, err=e.errno or 0)
+
+    def op_connect_raw(self, op):
+        """connect() with an AF_INET sockaddr, whatever the socket's family."""
+        raw = pack_sockaddr_in(op["host"], op["port"])
+        r = _libc.connect(self.sock(op).fileno(), raw, len(raw))
+        self.emit(op="connect_raw", ok=r == 0,
+                  err=ctypes.get_errno() if r else 0)
 
     def op_bind(self, op):
         s = self.sock(op)
@@ -338,6 +349,11 @@ class ScriptRunner:
             finally:
                 os._exit(0)
         os.waitpid(pid, 0)
+
+    def op_exec(self, op):
+        """Replace this process with the program op["argv"]; the seccomp
+        filter and the network namespace stay."""
+        os.execv(op["argv"][0], op["argv"])
 
     def op_sleep(self, op):
         time.sleep(op["seconds"])

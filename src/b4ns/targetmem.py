@@ -3,9 +3,12 @@
 Memory goes through /proc/<pid>/mem (directly, or via a reduced-privilege
 agent that re-opens it with the target's credentials and passes the fd back
 over a unix socket).  Fd duplicates come from pidfd_getfd(2), through a
-pidfd per process that also tells when the process exits.
+pidfd per process that also tells when the process exits.  An fd's flags
+and identity are read through the process's /proc/<pid>/fdinfo and
+/proc/<pid>/fd directories, each opened once.
 """
 
+import _socket
 import array
 import ctypes
 import errno
@@ -15,7 +18,7 @@ import os
 import socket
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AgentFailed, FdNotAvailable, MemFault, ReadOnlyMapping, TargetGone
 
@@ -95,33 +98,6 @@ def open_mem(pid):
     return MemHandle(pid, fd, source="direct")
 
 
-def fd_flags(pid, fd):
-    """Open flags of the target's fd, O_CLOEXEC included when close-on-exec
-    is set on it, as /proc/<pid>/fdinfo/<fd> reports them."""
-    # raw os calls: a text-mode open() costs several times as much, and
-    # this runs once per switched connect
-    try:
-        info = os.open(f"/proc/{pid}/fdinfo/{fd}", os.O_RDONLY)
-    except (FileNotFoundError, ProcessLookupError):
-        raise TargetGone(f"fd {fd} of pid {pid} is gone")
-    try:
-        text = os.read(info, 256)
-    finally:
-        os.close(info)
-    return int(text.split(b"\nflags:", 1)[1].split(None, 1)[0], 8)
-
-
-def fd_inode(pid, fd):
-    """Inode of the socket the target's fd refers to, as the link
-    /proc/<pid>/fd/<fd> names it; None if the fd is not open or not a
-    socket."""
-    try:
-        link = os.readlink(f"/proc/{pid}/fd/{fd}")
-    except OSError:
-        return None
-    return int(link[8:-1]) if link.startswith("socket:[") else None
-
-
 def _tgid_of(pid):
     """Thread-group leader of pid (pid itself if already the leader)."""
     try:
@@ -156,10 +132,24 @@ class RemoteFd:
     pid: int
     remote_fd: int
     local_fd: int
+    _sock: object = field(default=None, init=False, repr=False, compare=False)
+
+    def socket(self):
+        """The duplicate as a C-level socket object, made once and detached
+        when the duplicate closes.  OSError if the fd is not a socket."""
+        if self._sock is None:
+            # with a fileno, CPython validates it with getsockname, which
+            # also yields the family
+            self._sock = _socket.socket(-1, _socket.SOCK_STREAM, 0,
+                                        self.local_fd)
+        return self._sock
 
     def close(self):
         """Close the duplicate; a second call does nothing."""
         fd, self.local_fd = self.local_fd, -1
+        if self._sock is not None:
+            self._sock.detach()
+            self._sock = None
         if fd >= 0:
             try:
                 os.close(fd)
@@ -246,7 +236,8 @@ def open_mem_via_agent(pid, spawn=None):
 
 
 class MemService:
-    """Per-target memory handles and pidfds, with lazy agent fallback.
+    """Per-target memory handles, pidfds and /proc directory fds, with lazy
+    agent fallback.
 
     With ``chan``, every pidfd opened is watched in the channel's poll: when
     its process exits, ``on_exit(pid)`` runs and the pid is forgotten.
@@ -255,10 +246,9 @@ class MemService:
     def __init__(self, chan=None, on_exit=None):
         self._handles = {}
         self.pidfd_cache = {}
+        self._dirs = {}  # pid -> (/proc/pid/fd, /proc/pid/fdinfo) fds
         self._chan = chan
         self._on_exit = on_exit
-
-    fd_inode = staticmethod(fd_inode)
 
     def _pidfd(self, pid):
         pidfd = self.pidfd_cache.get(pid)
@@ -287,11 +277,69 @@ class MemService:
         self._handles[pid] = h
         return h
 
+    def _reopened(self, pid, h):
+        """A fresh handle in place of ``h``: after an execve a handle still
+        reaches the address space the process left, and reads come back
+        short."""
+        h.close()
+        del self._handles[pid]
+        return self.handle(pid)
+
     def read(self, pid, addr, length):
-        return self.handle(pid).read(addr, length)
+        h = self.handle(pid)
+        try:
+            return h.read(addr, length)
+        except MemFault:
+            return self._reopened(pid, h).read(addr, length)
 
     def write(self, pid, addr, data):
-        self.handle(pid).write(addr, data)
+        h = self.handle(pid)
+        try:
+            h.write(addr, data)
+        except MemFault:
+            self._reopened(pid, h).write(addr, data)
+
+    def _proc_dirs(self, pid):
+        dirs = self._dirs.get(pid)
+        if dirs is None:
+            self._pidfd(pid)  # watched, so the fds go when the process does
+            dirs = []
+            try:
+                for name in ("fd", "fdinfo"):
+                    dirs.append(os.open(f"/proc/{pid}/{name}",
+                                        os.O_RDONLY | os.O_DIRECTORY))
+            except OSError:
+                for d in dirs:
+                    os.close(d)
+                raise TargetGone(f"pid {pid} exited")
+            dirs = self._dirs[pid] = tuple(dirs)
+        return dirs
+
+    def fd_flags(self, pid, fd):
+        """Open flags of the target's fd, O_CLOEXEC included when
+        close-on-exec is set on it, as /proc/<pid>/fdinfo/<fd> reports
+        them."""
+        # raw os calls: a text-mode open() costs several times as much, and
+        # this runs once per switched connect
+        try:
+            info = os.open(str(fd), os.O_RDONLY, dir_fd=self._proc_dirs(pid)[1])
+        except (FileNotFoundError, ProcessLookupError):
+            raise TargetGone(f"fd {fd} of pid {pid} is gone")
+        try:
+            text = os.read(info, 256)
+        finally:
+            os.close(info)
+        return int(text.split(b"\nflags:", 1)[1].split(None, 1)[0], 8)
+
+    def fd_inode(self, pid, fd):
+        """Inode of the socket the target's fd refers to, as the link
+        /proc/<pid>/fd/<fd> names it; None if the fd is not open or not a
+        socket."""
+        try:
+            link = os.readlink(str(fd), dir_fd=self._proc_dirs(pid)[0])
+        except (OSError, TargetGone):
+            return None
+        return int(link[8:-1]) if link.startswith("socket:[") else None
 
     def acquire_fd(self, pid, remote_fd):
         """Duplicate the target's fd into this process via pidfd_getfd(2).
@@ -309,6 +357,8 @@ class MemService:
         h = self._handles.pop(pid, None)
         if h is not None:
             h.close()
+        for d in self._dirs.pop(pid, ()):
+            os.close(d)
         pidfd = self.pidfd_cache.pop(pid, None)
         if pidfd is not None:
             if self._chan is not None:

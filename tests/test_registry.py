@@ -18,6 +18,7 @@ from b4ns.registry import (
     SocketStatus,
     copy_options,
     replay_options,
+    switchable,
 )
 from b4ns.targetmem import RemoteFd
 
@@ -132,6 +133,18 @@ class TestEnsureRegistered:
             for s in (acc, cli, srv):
                 s.close()
 
+    def test_unix_stream_socket_is_non_switchable(self):
+        # not AF_INET: the probe reads the family, not only the type
+        a, b = socket.socketpair()
+        try:
+            reg, mem = self._registry_with_probe(
+                lambda pid, fd: RemoteFd(pid, fd, os_dup(a)))
+            rec = reg.ensure_registered(1, 3, mem)
+            assert rec.status is SocketStatus.NON_SWITCHABLE
+        finally:
+            a.close()
+            b.close()
+
     def test_probe_failure_degrades_not_errors(self):
         def probe(pid, fd):
             raise FdNotAvailable("gone")
@@ -212,20 +225,32 @@ class TestFdReuse:
         finally:
             srv.close()
 
-    def test_held_duplicate_serves_the_first_sight(self):
+    def test_held_duplicate_serves_the_identity_check(self):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        other = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            mem = FakeMem()  # no fd_probe: any duplicate it made would raise
+            mem = FakeMem()
+            mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
             reg = SocketRegistry()
-            dup = RemoteFd(1, 3, os_dup(srv))
-            rec = reg.ensure_registered(1, 3, mem, dup)
-            assert rec.status is SocketStatus.TRACKABLE
+            rec = reg.ensure_registered(1, 3, mem)
             assert rec.inode == os.fstat(srv.fileno()).st_ino
+
+            def no_fd_inode(pid, fd):
+                raise AssertionError("identity read from /proc")
+
+            mem.fd_inode = no_fd_inode
+            dup = RemoteFd(1, 3, os_dup(srv))
+            assert reg.lookup(1, 3, mem, dup) is rec
             os.fstat(dup.local_fd)  # still open: the caller closes it
-            assert reg.ensure_registered(1, 3, mem, dup) is rec
             dup.close()
+            dup = RemoteFd(1, 3, os_dup(other))
+            assert reg.lookup(1, 3, mem, dup) is None
+            dup.close()
+            assert reg.get(1, 3) is None
+            assert rec.status is SocketStatus.CLOSED
         finally:
             srv.close()
+            other.close()
 
     def test_switched_record_holds_the_host_socket(self):
         reg = SocketRegistry()
@@ -249,6 +274,74 @@ class TestFdReuse:
             assert reg.get(2, 3) is not None
         finally:
             srv.close()
+
+
+class TestSwitchable:
+    def _switchable(self, sock):
+        dup = RemoteFd(1, 3, os_dup(sock))
+        try:
+            return switchable(dup)
+        finally:
+            dup.close()
+
+    def test_fresh_tcp_socket(self):
+        with socket.socket() as s:
+            assert self._switchable(s)
+
+    def test_inet6_socket(self):
+        with socket.socket(socket.AF_INET6) as s:
+            assert not self._switchable(s)
+
+    def test_bound_socket(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            assert not self._switchable(s)
+
+    def test_listening_socket(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            s.listen(1)
+            assert not self._switchable(s)
+
+    def test_non_socket(self, tmp_path):
+        with open(tmp_path / "f", "w") as f:
+            dup = RemoteFd(1, 3, os_dup_fd(f.fileno()))
+            assert not switchable(dup)
+            dup.close()
+
+
+class TestKeptRecords:
+    """A record is kept only for what the live socket cannot tell."""
+
+    def test_plain_switch_drops_the_record(self):
+        with socket.socket() as srv:
+            mem = FakeMem()
+            mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
+            reg = SocketRegistry()
+            rec = reg.ensure_registered(1, 3, mem)
+            reg.mark_switched(rec, inode=4242)
+            assert rec.status is SocketStatus.SWITCHED
+            assert reg.get(1, 3) is None
+
+    def test_switch_with_options_keeps_the_record(self):
+        reg = SocketRegistry()
+        rec = trackable()
+        rec.add_option(OptionEvent("setsockopt", (1, 7, b"")))
+        reg.mark_switched(rec, inode=4242)
+        assert reg.get(1, 3) is rec
+
+    def test_spoofed_peer_keeps_an_unkept_record(self):
+        reg = SocketRegistry()
+        rec = trackable()
+        reg.mark_switched(rec, spoofed_peer=("10.4.0.2", 80), inode=4242)
+        assert reg.get(1, 3) is rec
+
+    def test_non_switchable_mark_is_kept(self):
+        reg = SocketRegistry()
+        rec = trackable()
+        reg.mark_non_switchable(rec)
+        assert reg.get(1, 3) is rec
+        assert rec.status is SocketStatus.NON_SWITCHABLE
 
 
 class TestReplay:
@@ -303,7 +396,7 @@ class TestCopyOptions:
         with socket.socket() as target, socket.socket() as host:
             for (level, name), value in values.items():
                 target.setsockopt(level, name, value)
-            copy_options(target.fileno(), host)
+            copy_options(target, host)
             assert {k: host.getsockopt(*k) for k in values} == values
             target.getsockopt(socket.SOL_SOCKET, socket.SO_TYPE)  # still open
 
@@ -313,14 +406,14 @@ class TestCopyOptions:
                 raise AssertionError(f"set {args}")
 
         with socket.socket() as target, Untouchable() as host:
-            copy_options(target.fileno(), host)
+            copy_options(target, host)
 
     def test_unreadable_option_raises(self):
         # a unix stream socket has no TCP options: the switch rolls back
         a, b = socket.socketpair()
         with a, b, socket.socket() as host:
             with pytest.raises(OSError):
-                copy_options(a.fileno(), host)
+                copy_options(a, host)
 
 
 _TARGETS = st.sampled_from(list(SocketStatus))

@@ -5,9 +5,12 @@ only, usually down), so any traffic that actually reaches the host-side
 echo server proves the in-namespace socket was replaced by a host socket.
 """
 
+import errno
 import fcntl
+import json
 import os
 import socket
+import sys
 import termios
 import time
 
@@ -114,7 +117,9 @@ class TestSwitchedSocketLifetime:
             assert run.readline()["ok"]
             assert run.readline()["name"] == "before"
             before = state()
-            assert before[:3] == (1, 1, 1)  # the parent's own connect
+            # the parent's own connect keeps no record, only its pidfd and
+            # memory handle
+            assert before[:3] == (0, 1, 1)
             run.release_barrier()
             lines = [run.readline() for _ in range(n + 1)]
             assert [l.get("ok") for l in lines[:n]] == [True] * n
@@ -167,6 +172,23 @@ class TestSwitchedSocketLifetime:
         assert run.sup.counters.sockets_switched == 1
         # FIONCLEX cleared close-on-exec, and the switch kept it cleared
         assert run.result("fcntl")["value"] == 0
+
+
+class TestExec:
+    def test_connect_after_execve_is_switched(self, tmp_path, echo_server):
+        connect = {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port}
+        after = tmp_path / "after-exec.json"
+        after.write_text(json.dumps([{"op": "socket"}, connect,
+                                     {"op": "close"}]))
+        # the exec'd shim installs nothing: the filter and netns carry over
+        argv = [sys.executable, "-m", "b4ns.target_shim", "--no-filter",
+                "--script", str(after)]
+        run = supervise(tmp_path, [{"op": "socket"}, connect,
+                                   {"op": "exec", "argv": argv}])
+        run.wait()
+        assert [r["ok"] for r in run.results("connect")] == [True, True]
+        assert run.sup.counters.sockets_switched == 2
 
 
 SOCKET = {"op": "socket"}
@@ -401,6 +423,78 @@ class TestBindSwitch:
         assert run.sup.counters.sockets_switched == 0
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", 8123), timeout=0.3)
+
+
+class TestDecidedFromLiveSocket:
+    """A connect or bind is switched only if the live socket allows it: an
+    AF_INET TCP socket in TCP_CLOSE, and unbound.  Anything else continues
+    to the kernel, which answers as it would unsupervised."""
+
+    def _both(self, tmp_path, script, **kwargs):
+        run = supervise(tmp_path, script, **kwargs)
+        run.wait()
+        return run, run_control(tmp_path, script)
+
+    def test_inet6_socket_with_inet_sockaddr_gets_einval(self, tmp_path,
+                                                         echo_server):
+        script = [{"op": "socket", "family": socket.AF_INET6},
+                  {"op": "connect_raw", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "getsockopt", "level": socket.SOL_SOCKET,
+                   "optname": socket.SO_DOMAIN},
+                  {"op": "close"}]
+        run, ctl = self._both(tmp_path, script)
+        assert ctl.result("connect_raw")["err"] == errno.EINVAL
+        assert run.result("connect_raw") == ctl.result("connect_raw")
+        assert run.result("getsockopt")["value"] == socket.AF_INET6
+        assert run.sup.counters.sockets_switched == 0
+
+    def test_connect_on_listening_socket_gets_eisconn(self, tmp_path,
+                                                       echo_server):
+        script = [{"op": "socket"},
+                  {"op": "bind", "host": "0.0.0.0", "port": 0},
+                  {"op": "listen"},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "close"}]
+        run, ctl = self._both(tmp_path, script)
+        assert ctl.result("connect")["err"] == errno.EISCONN
+        assert run.result("connect") == ctl.result("connect")
+        assert run.sup.counters.sockets_switched == 0
+
+    def test_connect_on_bound_socket_stays_in_namespace(self, tmp_path,
+                                                         echo_server):
+        # a fresh host socket would not carry the bind over
+        script = [{"op": "socket"},
+                  {"op": "bind", "host": "0.0.0.0", "port": 0},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "close"}]
+        run, ctl = self._both(tmp_path, script)
+        assert not ctl.result("connect")["ok"]
+        assert run.result("connect") == ctl.result("connect")
+        assert run.sup.counters.sockets_switched == 0
+
+    def test_second_connect_on_switched_socket_gets_eisconn(self, tmp_path,
+                                                            echo_server):
+        connect = {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port}
+        run = supervise(tmp_path, [{"op": "socket"}, connect, connect,
+                                   {"op": "close"}])
+        run.wait()
+        assert [(r["ok"], r["err"]) for r in run.results("connect")] == [
+            (True, 0), (False, errno.EISCONN)]
+        assert run.sup.counters.sockets_switched == 1
+
+    def test_second_bind_on_published_switched_socket_fails(self, tmp_path):
+        bind = {"op": "bind", "host": "10.4.0.2", "port": 80}
+        run = supervise(tmp_path, [{"op": "socket"}, bind, bind,
+                                   {"op": "close"}], env=PUBLISH_ENV(18090))
+        run.wait()
+        # the host socket holds the mapping's address, not 10.4.0.2
+        assert [(r["ok"], r["err"]) for r in run.results("bind")] == [
+            (True, 0), (False, errno.EADDRNOTAVAIL)]
+        assert run.sup.counters.sockets_switched == 1
 
 
 class TestRewriteAndSpoof:

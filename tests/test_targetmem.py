@@ -2,7 +2,6 @@
 
 import os
 import signal
-import socket
 import struct
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import pytest
 
 from b4ns.errors import AgentFailed, FdNotAvailable, MemFault, TargetGone
 from b4ns.notify import NotificationChannel
-from b4ns.sockaddr import probe_socket_kind
+from b4ns.registry import switchable
 from b4ns.targetmem import (
     MAX_RW,
     MemService,
@@ -128,10 +127,8 @@ class TestAcquireFd:
         dup = acquire_fd(proc.pid, sock_fd)
         try:
             assert not os.get_inheritable(dup.local_fd)
-            is_sock, sotype, connected = probe_socket_kind(dup.local_fd)
-            assert is_sock
-            assert sotype == socket.SOCK_STREAM
-            assert not connected
+            # an unconnected TCP socket: AF_INET, TCP_CLOSE and unbound
+            assert switchable(dup)
         finally:
             dup.close()
 
@@ -208,6 +205,34 @@ class TestMemService:
             svc.close()
             chan.close()
             os.close(w)
+
+    def test_bad_pointer_still_faults(self, child):
+        proc, _, _ = child
+        svc = MemService()
+        try:
+            with pytest.raises(MemFault):
+                svc.read(proc.pid, 0x1000, 4)  # never mapped
+        finally:
+            svc.close()
+
+    def test_fd_flags_and_inode_through_proc_dirs(self, child):
+        proc, _, sock_fd = child
+        svc = MemService()
+        fds_before = len(os.listdir("/proc/self/fd"))
+        try:
+            link = os.readlink(f"/proc/{proc.pid}/fd/{sock_fd}")
+            assert svc.fd_inode(proc.pid, sock_fd) == int(link[8:-1])
+            assert svc.fd_inode(proc.pid, 777) is None  # not open
+            flags = svc.fd_flags(proc.pid, sock_fd)
+            assert flags & os.O_ACCMODE == os.O_RDWR
+            with pytest.raises(TargetGone):
+                svc.fd_flags(proc.pid, 777)
+            # a pidfd and the two directories, opened once
+            svc.fd_inode(proc.pid, sock_fd)
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 3
+        finally:
+            svc.close()
+        assert len(os.listdir("/proc/self/fd")) == fds_before
 
     def test_forget_drops_handle(self, child):
         proc, addr, _ = child
