@@ -1,11 +1,13 @@
 """Desk-scale loopback benchmarks: relay vs bypass vs direct.
 
-The relay mode reproduces the architectural bottleneck of userspace
-port-forwarding (per-connection copy loops with a fixed buffer); the
-bypass mode runs a supervised client in a fresh network namespace whose
-sockets get switched to host sockets; direct is the unsupervised baseline.
-Every transfer is digest-verified end to end -- a throughput number
-without a matching digest is discarded.
+Every mode runs the same client program, ``b4ns.target_shim``, in its own
+process with the same script.  The relay mode puts the architectural
+bottleneck of userspace port-forwarding (per-connection copy loops with a
+fixed buffer) between client and sink; the bypass mode supervises the
+client in a fresh network namespace whose socket gets switched to a host
+socket; direct is the unsupervised baseline.  Every transfer is
+digest-verified end to end -- a throughput number without a matching
+digest is discarded.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .engine import NetEnvironment
@@ -31,6 +34,7 @@ from .target_shim import BLOCK
 RELAY_BUF = 32 * 1024
 MIN_PAYLOAD = 1 << 20
 MODES = ("relay", "bypass", "direct")
+LATENCY_SIZE = 64
 
 
 @dataclass
@@ -40,7 +44,6 @@ class BenchConfig:
     mode: str = "direct"
     latency: bool = False
     latency_count: int = 2000
-    latency_size: int = 64
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -73,7 +76,38 @@ def pattern_digest(nbytes):
     return h.hexdigest()
 
 
-class _DigestServer:
+class _Listener:
+    """A loopback listening socket.  ``close`` shuts it down first: that
+    wakes a thread blocked in its ``accept``, which a bare close leaves
+    blocked, holding the socket open and still listening."""
+
+    def __init__(self, backlog=8, host="127.0.0.1"):
+        self.srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.srv.bind((host, 0))
+        self.srv.listen(backlog)
+        self.port = self.srv.getsockname()[1]
+
+    def serve(self, handler):
+        """Run ``handler(conn)`` on a thread of its own for every accepted
+        connection, until closed."""
+        def loop():
+            while True:
+                try:
+                    conn, _ = self.srv.accept()
+                except OSError:
+                    return
+                threading.Thread(target=handler, args=(conn,),
+                                 daemon=True).start()
+
+        threading.Thread(target=loop, daemon=True).start()
+
+    def close(self):
+        self.srv.shutdown(socket.SHUT_RDWR)
+        self.srv.close()
+
+
+class _DigestServer(_Listener):
     """Accepts N connections, records the receive window (first byte in,
     last byte in) for timing, and digests each stream.
 
@@ -85,11 +119,7 @@ class _DigestServer:
 
     def __init__(self, streams, expected_bytes=0, host="127.0.0.1",
                  buffer_cap=2 << 30):
-        self.srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.srv.bind((host, 0))
-        self.srv.listen(streams)
-        self.port = self.srv.getsockname()[1]
+        super().__init__(streams, host)
         self.streams = streams
         self.expected_bytes = expected_bytes
         self.buffered = 0 < expected_bytes * streams <= buffer_cap
@@ -170,7 +200,6 @@ class _DigestServer:
         self._acceptor.join(timeout)
         for t in self._threads:
             t.join(timeout)
-        self.srv.close()
 
     @property
     def window(self):
@@ -179,22 +208,10 @@ class _DigestServer:
         return max(self.t_last - self.t_first, 1e-6)
 
 
-class _EchoServer:
+class _EchoServer(_Listener):
     def __init__(self, host="127.0.0.1"):
-        self.srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.srv.bind((host, 0))
-        self.srv.listen(8)
-        self.port = self.srv.getsockname()[1]
-        threading.Thread(target=self._loop, daemon=True).start()
-
-    def _loop(self):
-        while True:
-            try:
-                conn, _ = self.srv.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._echo, args=(conn,), daemon=True).start()
+        super().__init__(host=host)
+        self.serve(self._echo)
 
     def _echo(self, conn):
         with conn:
@@ -207,11 +224,8 @@ class _EchoServer:
                     return
                 conn.sendall(data)
 
-    def close(self):
-        self.srv.close()
 
-
-class _Relay:
+class _Relay(_Listener):
     """Per-connection bidirectional copy loop with a fixed 32 KiB buffer,
     emulating the userspace port-forwarding path: a single thread
     multiplexes both directions with select(2) and stages every chunk
@@ -220,22 +234,9 @@ class _Relay:
     usermode networking slow."""
 
     def __init__(self, upstream_port, host="127.0.0.1"):
+        super().__init__(host=host)
         self.upstream = (host, upstream_port)
-        self.srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.srv.bind((host, 0))
-        self.srv.listen(8)
-        self.port = self.srv.getsockname()[1]
-        threading.Thread(target=self._loop, daemon=True).start()
-
-    def _loop(self):
-        while True:
-            try:
-                client, _ = self.srv.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._relay_conn, args=(client,),
-                             daemon=True).start()
+        self.serve(self._relay_conn)
 
     def _relay_conn(self, client):
         try:
@@ -283,45 +284,62 @@ class _Relay:
             client.close()
             up.close()
 
-    def close(self):
-        self.srv.close()
-
 
 def _cpu_window():
+    """CPU seconds of this process and of its reaped children, so the
+    clients count in every mode once they have been waited for."""
     t = os.times()
-    return t.user + t.system
+    return t.user + t.system + t.children_user + t.children_system
 
 
-# Senders run as separate processes in every mode (the supervised mode
-# necessarily uses one), so the measured path is never slowed down by the
-# sender contending with the receiver inside one interpreter.
-_SENDER_SRC = """\
-import socket, sys
-port, nbytes = int(sys.argv[1]), int(sys.argv[2])
-block = bytes(range(256)) * 4096
-view = memoryview(block)
-s = socket.create_connection(("127.0.0.1", port))
-sent = 0
-while sent < nbytes:
-    chunk = view[: min(len(block), nbytes - sent)]
-    s.sendall(chunk)
-    sent += len(chunk)
-s.close()
-"""
+def _client_script(cfg, port):
+    if cfg.latency:
+        work = {"op": "pingpong", "count": cfg.latency_count,
+                "size": LATENCY_SIZE}
+    else:
+        work = {"op": "send_pattern",
+                "bytes": cfg.payload_bytes // cfg.parallel_streams}
+    return [{"op": "socket"},
+            {"op": "connect", "host": "127.0.0.1", "port": port},
+            work,
+            {"op": "close"}]
 
 
-def _client_procs(port, nbytes, streams):
-    procs = [subprocess.Popen(
-        [sys.executable, "-c", _SENDER_SRC, str(port), str(nbytes)],
-        stderr=subprocess.PIPE, text=True) for _ in range(streams)]
-    for p in procs:
-        try:
-            _, err = p.communicate(timeout=300)
-        except subprocess.TimeoutExpired:
-            p.kill()
-            raise SetupFailed("client stream timed out")
-        if p.returncode != 0:
-            raise SetupFailed(f"client stream failed: {err[-500:]}")
+def _start_client(mode, script_path, handoff):
+    """One client process running the shim script; in bypass mode it is
+    supervised from a fresh network namespace, otherwise it runs
+    unfiltered in the host's."""
+    where = (["--netns", "new", "--handoff", handoff] if mode == "bypass"
+             else ["--no-filter"])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "b4ns.target_shim", "--script", script_path]
+        + where, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if mode != "bypass":
+        return proc, None
+    try:
+        chan = attach(handoff, timeout=10.0)
+    except BaseException:
+        proc.kill()
+        proc.communicate()
+        raise
+    env = NetEnvironment(container_cidrs=["10.255.255.0/24"],
+                         host_loopback_allowed=True)
+    sup = SupervisorInstance(chan, env)
+    sup.start()
+    return proc, sup
+
+
+def _finish_client(mode, proc, sup):
+    """Wait for one client and return its result lines, keyed by op."""
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        raise SetupFailed(f"{mode}: client timed out") from None
+    if sup is not None:
+        sup.join(10.0)
+    if proc.returncode != 0:
+        raise SetupFailed(f"{mode}: client failed: {err[-500:]}")
+    return {line["op"]: line for line in map(json.loads, out.splitlines())}
 
 
 def _throughput_result(mode, cfg, server, cpu_used, wall):
@@ -346,146 +364,69 @@ def _throughput_result(mode, cfg, server, cpu_used, wall):
     )
 
 
-def run_direct(cfg: BenchConfig):
-    if cfg.latency:
-        return _run_latency_local(cfg, relay=False)
-    per_stream = cfg.payload_bytes // cfg.parallel_streams
-    server = _DigestServer(cfg.parallel_streams, per_stream).start()
-    cpu0, t0 = _cpu_window(), time.monotonic()
-    _client_procs(server.port, per_stream, cfg.parallel_streams)
-    server.wait()
-    cpu, wall = _cpu_window() - cpu0, time.monotonic() - t0
-    return _throughput_result("direct", cfg, server, cpu, wall)
-
-
-def run_relay(cfg: BenchConfig):
-    if cfg.latency:
-        return _run_latency_local(cfg, relay=True)
-    per_stream = cfg.payload_bytes // cfg.parallel_streams
-    server = _DigestServer(cfg.parallel_streams, per_stream).start()
-    relay = _Relay(server.port)
-    try:
-        cpu0, t0 = _cpu_window(), time.monotonic()
-        _client_procs(relay.port, per_stream, cfg.parallel_streams)
-        server.wait()
-        cpu, wall = _cpu_window() - cpu0, time.monotonic() - t0
-    finally:
-        relay.close()
-    return _throughput_result("relay", cfg, server, cpu, wall)
-
-
-def _spawn_bypass_client(handoff, script_path, env: NetEnvironment):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "b4ns.target_shim", "--handoff", handoff,
-         "--netns", "new", "--script", script_path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    chan = attach(handoff, timeout=10.0)
-    sup = SupervisorInstance(chan, env)
-    sup.start()
-    return proc, sup
-
-
-def run_bypass(cfg: BenchConfig, workdir=None):
-    """Supervised clients in fresh namespaces; invalid unless every stream
-    was actually switched."""
-    env = NetEnvironment(container_cidrs=["10.255.255.0/24"],
-                         host_loopback_allowed=True)
-    tmp = workdir or tempfile.mkdtemp(prefix="b4ns-bench-")
-    if cfg.latency:
-        echo = _EchoServer()
-        script = [
-            {"op": "socket"},
-            {"op": "connect", "host": "127.0.0.1", "port": echo.port},
-            {"op": "pingpong", "count": cfg.latency_count, "size": cfg.latency_size},
-            {"op": "close"},
-        ]
-        path = os.path.join(tmp, "lat.json")
-        with open(path, "w") as f:
-            json.dump(script, f)
-        handoff = os.path.join(tmp, "lat.sock")
-        proc, sup = _spawn_bypass_client(handoff, path, env)
-        out, err = proc.communicate(timeout=300)
-        echo.close()
-        sup.join(5.0)
-        if proc.returncode != 0:
-            raise SetupFailed(f"bypass latency client failed: {err[-500:]}")
-        if sup.counters.sockets_switched < 1:
-            raise SwitchDidNotHappen("no socket switched during latency run")
-        line = next(json.loads(l) for l in out.splitlines()
-                    if json.loads(l).get("op") == "pingpong")
-        return BenchResult(
-            mode="bypass", throughput_bps=0.0,
-            mean_latency_us=line["mean_latency_us"],
-            cpu_self_fraction=0.0, payload_bytes=0, streams=1)
-
-    per_stream = cfg.payload_bytes // cfg.parallel_streams
-    server = _DigestServer(cfg.parallel_streams, per_stream).start()
-    procs = []
-    cpu0, t0 = _cpu_window(), time.monotonic()
-    for i in range(cfg.parallel_streams):
-        script = [
-            {"op": "socket"},
-            {"op": "connect", "host": "127.0.0.1", "port": server.port},
-            {"op": "send_pattern", "bytes": per_stream},
-            {"op": "close"},
-        ]
-        path = os.path.join(tmp, f"stream{i}.json")
-        with open(path, "w") as f:
-            json.dump(script, f)
-        handoff = os.path.join(tmp, f"stream{i}.sock")
-        procs.append(_spawn_bypass_client(handoff, path, env))
-    switched = 0
-    for proc, sup in procs:
-        out, err = proc.communicate(timeout=300)
-        if proc.returncode != 0:
-            raise SetupFailed(f"bypass client failed: {err[-500:]}")
-        sup.join(10.0)
-        switched += sup.counters.sockets_switched
-    server.wait()
-    cpu, wall = _cpu_window() - cpu0, time.monotonic() - t0
-    if switched < cfg.parallel_streams:
-        raise SwitchDidNotHappen(
-            f"only {switched}/{cfg.parallel_streams} streams switched")
-    return _throughput_result("bypass", cfg, server, cpu, wall)
-
-
-def _run_latency_local(cfg, relay):
-    echo = _EchoServer()
-    front_port = echo.port
-    r = None
-    if relay:
-        r = _Relay(echo.port)
-        front_port = r.port
-    try:
-        s = socket.create_connection(("127.0.0.1", front_port))
-        payload = BLOCK[: cfg.latency_size]
-        t0 = time.monotonic()
-        for _ in range(cfg.latency_count):
-            s.sendall(payload)
-            got = 0
-            while got < cfg.latency_size:
-                got += len(s.recv(cfg.latency_size - got))
-        dt = time.monotonic() - t0
-        s.close()
-    finally:
-        if r is not None:
-            r.close()
-        echo.close()
-    return BenchResult(
-        mode="relay" if relay else "direct", throughput_bps=0.0,
-        mean_latency_us=dt / cfg.latency_count * 1e6,
-        cpu_self_fraction=0.0, payload_bytes=0, streams=1)
-
-
 def run_mode(mode, cfg_kwargs):
+    """One run of ``mode``: ``parallel_streams`` clients, each a
+    ``b4ns.target_shim`` process running the same script against a digest
+    sink (or an echo server for latency).  Relay puts a ``_Relay`` in front
+    of the sink; bypass is invalid unless every client's socket was
+    switched."""
     cfg = BenchConfig(mode=mode, **cfg_kwargs)
-    return {"relay": run_relay, "bypass": run_bypass, "direct": run_direct}[mode](cfg)
+    if cfg.latency:
+        sink = _EchoServer()
+    else:
+        sink = _DigestServer(cfg.parallel_streams,
+                             cfg.payload_bytes // cfg.parallel_streams).start()
+    relay = _Relay(sink.port) if mode == "relay" else None
+    clients = []
+    try:
+        with tempfile.TemporaryDirectory(prefix="b4ns-bench-") as tmp:
+            script = os.path.join(tmp, "client.json")
+            with open(script, "w") as f:
+                json.dump(_client_script(cfg, (relay or sink).port), f)
+            cpu0, t0 = _cpu_window(), time.monotonic()
+            for i in range(cfg.parallel_streams):
+                clients.append(_start_client(
+                    mode, script, os.path.join(tmp, f"{i}.sock")))
+            lines = [_finish_client(mode, proc, sup) for proc, sup in clients]
+            if not cfg.latency:
+                sink.wait()
+            cpu, wall = _cpu_window() - cpu0, time.monotonic() - t0
+    finally:
+        for proc, _ in clients:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        if relay is not None:
+            relay.close()
+        sink.close()
+    if mode == "bypass":
+        switched = sum(sup.counters.sockets_switched for _, sup in clients)
+        if switched < cfg.parallel_streams:
+            raise SwitchDidNotHappen(
+                f"bypass: only {switched}/{cfg.parallel_streams} streams switched")
+    if not cfg.latency:
+        return _throughput_result(mode, cfg, sink, cpu, wall)
+    return BenchResult(
+        mode=mode, throughput_bps=0.0,
+        mean_latency_us=statistics.fmean(
+            l["pingpong"]["mean_latency_us"] for l in lines),
+        cpu_self_fraction=cpu / max(wall, 1e-6), payload_bytes=0,
+        streams=cfg.parallel_streams)
 
 
-def median_result(mode, cfg_kwargs, runs=3):
-    results = [run_mode(mode, cfg_kwargs) for _ in range(runs)]
-    results.sort(key=lambda r: r.throughput_bps)
-    return results[len(results) // 2]
+def median_results(modes, cfg_kwargs, runs=3):
+    """Run ``modes`` round-robin ``runs`` times (relay, bypass, direct,
+    relay, ...), so load drift during the session hits every mode alike,
+    and return {mode: its median result}: by throughput, or by mean latency
+    for latency runs."""
+    done = {mode: [] for mode in modes}
+    for _ in range(runs):
+        for mode in modes:
+            done[mode].append(run_mode(mode, cfg_kwargs))
+    key = attrgetter("mean_latency_us" if cfg_kwargs.get("latency")
+                     else "throughput_bps")
+    return {mode: sorted(rs, key=key)[len(rs) // 2]
+            for mode, rs in done.items()}
 
 
 def report(results):

@@ -174,6 +174,8 @@ def main_bench(argv=None):
     ap.add_argument("--runs", type=int, default=1, help="median of N runs")
     ap.add_argument("--json", dest="json_out")
     args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
 
     modes = args.mode or list(bench_mod.MODES)
     cfg_kwargs = {
@@ -181,15 +183,12 @@ def main_bench(argv=None):
         "parallel_streams": args.streams,
         "latency": args.latency,
     }
-    results = []
-    for mode in modes:
-        try:
-            results.append(bench_mod.median_result(mode, cfg_kwargs,
-                                                   runs=args.runs))
-        except B4nsError as e:
-            print(f"{mode}: {e}", file=sys.stderr)
-            return 1
-    text, payload = bench_mod.report(results)
+    try:
+        results = bench_mod.median_results(modes, cfg_kwargs, runs=args.runs)
+    except B4nsError as e:
+        print(f"b4ns-bench: {e}", file=sys.stderr)
+        return 1
+    text, payload = bench_mod.report(list(results.values()))
     sys.stdout.write(text)
     if args.json_out:
         with open(args.json_out, "w") as f:

@@ -18,12 +18,13 @@ def parse_sockaddr(raw):
     """Decode a sockaddr blob.
 
     Returns (family, addr, port); addr/port are None for families we do not
-    decode (only AF_INET and AF_INET6 carry them here).
+    decode (only AF_INET and AF_INET6 carry them here), and for an AF_INET
+    blob shorter than a sockaddr_in, which connect and bind reject.
     """
     if len(raw) < 2:
         return None, None, None
     (family,) = struct.unpack_from("<H", raw)
-    if family == socket.AF_INET and len(raw) >= 8:
+    if family == socket.AF_INET and len(raw) >= SOCKADDR_IN_SIZE:
         port, packed = struct.unpack_from("!H4s", raw, 2)
         return family, socket.inet_ntoa(packed), port
     if family == socket.AF_INET6 and len(raw) >= 24:

@@ -155,9 +155,10 @@ class ScriptRunner:
             self.emit(op="connect", ok=False, err=e.errno or 0)
 
     def op_connect_raw(self, op):
-        """connect() with an AF_INET sockaddr, whatever the socket's family."""
+        """connect() with an AF_INET sockaddr, whatever the socket's family;
+        op["len"] overrides the addrlen passed with it."""
         raw = pack_sockaddr_in(op["host"], op["port"])
-        r = _libc.connect(self.sock(op).fileno(), raw, len(raw))
+        r = _libc.connect(self.sock(op).fileno(), raw, op.get("len", len(raw)))
         self.emit(op="connect_raw", ok=r == 0,
                   err=ctypes.get_errno() if r else 0)
 
@@ -221,15 +222,7 @@ class ScriptRunner:
             chunk = BLOCK[: min(len(BLOCK), total - sent)]
             s.sendall(chunk)
             sent += len(chunk)
-        # digest the same pattern after the transfer so hashing never
-        # throttles the send path being measured
-        h = hashlib.blake2b(digest_size=16)
-        left = sent
-        while left > 0:
-            chunk = BLOCK[: min(len(BLOCK), left)]
-            h.update(chunk)
-            left -= len(chunk)
-        self.emit(op="send_pattern", bytes=sent, digest=h.hexdigest())
+        self.emit(op="send_pattern", bytes=sent)
 
     def op_recv_digest(self, op):
         s = self.sock(op)

@@ -243,8 +243,7 @@ def test_6_trace_oracle():
 def test_7_performance_ordering():
     t0 = time.monotonic()
     cfg = {"payload_bytes": 1 << 30, "parallel_streams": 1}
-    results = {mode: bench.median_result(mode, cfg, runs=3)
-               for mode in ("relay", "bypass", "direct")}
+    results = bench.median_results(("relay", "bypass", "direct"), cfg, runs=3)
     elapsed = time.monotonic() - t0
     for r in results.values():
         assert r.digest_ok

@@ -3,6 +3,11 @@ guard, and report shape (small payloads; the performance comparison itself
 lives in the acceptance suite)."""
 
 import json
+import subprocess
+import sys
+import tempfile
+import threading
+import time
 
 import pytest
 
@@ -78,32 +83,107 @@ class TestModes:
         assert r.digest_ok
         assert r.throughput_bps > 0
 
-    def test_bypass_small(self, tmp_path):
-        cfg = BenchConfig(mode="bypass", **SMALL)
-        r = bench.run_bypass(cfg, workdir=str(tmp_path))
+    def test_bypass_small(self):
+        r = run_mode("bypass", SMALL)
         assert r.digest_ok
         assert r.throughput_bps > 0
+
+    def test_bypass_leaves_no_temp_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_mode("bypass", SMALL)
+        assert list(tmp_path.iterdir()) == []
 
     def test_multi_stream_direct(self):
         r = run_mode("direct", {"payload_bytes": 2 << 20,
                                 "parallel_streams": 2})
         assert len(r.per_stream_bps) == 2
 
-    def test_latency_direct(self):
-        r = run_mode("direct", {"payload_bytes": 0, "latency": True,
-                                "latency_count": 50})
-        assert r.mean_latency_us > 0
+    @pytest.mark.parametrize("mode", MODES)
+    def test_latency(self, mode, monkeypatch):
+        """The latency is the one the client process measured."""
+        finished = []
 
-    def test_bypass_refuses_unswitched_run(self, tmp_path, monkeypatch):
+        def spy(*args):
+            finished.append(finish(*args))
+            return finished[-1]
+
+        finish = bench._finish_client
+        monkeypatch.setattr(bench, "_finish_client", spy)
+        r = run_mode(mode, {"payload_bytes": 0, "latency": True,
+                            "latency_count": 50})
+        [lines] = finished
+        assert lines["pingpong"]["count"] == 50
+        assert r.mean_latency_us == lines["pingpong"]["mean_latency_us"] > 0
+
+    def test_relay_latency_leaves_no_threads(self):
+        # each closed listener must wake the thread blocked in its accept
+        before = set(threading.enumerate())
+        run_mode("relay", {"payload_bytes": 0, "latency": True,
+                           "latency_count": 10})
+        deadline = time.monotonic() + 5.0
+        while (set(threading.enumerate()) - before
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        assert set(threading.enumerate()) <= before
+
+    def test_bypass_refuses_unswitched_run(self, monkeypatch):
         """If no socket was actually switched the number is meaningless and
         the run must fail loudly rather than report a bogus figure."""
         from b4ns.engine import SwitchDecision
 
         monkeypatch.setattr("b4ns.engine.decide",
                             lambda *a, **kw: SwitchDecision.IGNORE)
-        cfg = BenchConfig(mode="bypass", **SMALL)
         with pytest.raises((SwitchDidNotHappen, SetupFailed)):
-            bench.run_bypass(cfg, workdir=str(tmp_path))
+            run_mode("bypass", SMALL)
+
+    def test_cpu_counts_reaped_clients(self):
+        cpu0 = bench._cpu_window()
+        subprocess.run([sys.executable, "-c",
+                        "import time\n"
+                        "t = time.process_time()\n"
+                        "while time.process_time() - t < 0.3: pass"],
+                       check=True)
+        assert bench._cpu_window() - cpu0 >= 0.25
+
+
+class TestMedianResults:
+    def _fake_run_mode(self, monkeypatch, results):
+        calls = []
+
+        def fake(mode, cfg_kwargs):
+            calls.append(mode)
+            return results.pop(0)
+
+        monkeypatch.setattr(bench, "run_mode", fake)
+        return calls
+
+    def test_latency_median_by_mean_latency(self, monkeypatch):
+        results = [BenchResult(mode="direct", throughput_bps=0.0,
+                               mean_latency_us=us, cpu_self_fraction=0.0,
+                               payload_bytes=0, streams=1)
+                   for us in (30.0, 10.0, 20.0)]
+        self._fake_run_mode(monkeypatch, results)
+        got = bench.median_results(
+            ("direct",), {"payload_bytes": 0, "latency": True}, runs=3)
+        assert got["direct"].mean_latency_us == 20.0
+
+    def test_modes_run_round_robin(self, monkeypatch):
+        results = [BenchResult(mode=m, throughput_bps=float(i),
+                               mean_latency_us=None, cpu_self_fraction=0.0,
+                               payload_bytes=1 << 20, streams=1)
+                   for i in range(3) for m in MODES]
+        calls = self._fake_run_mode(monkeypatch, results)
+        got = bench.median_results(MODES, SMALL, runs=3)
+        assert calls == list(MODES) * 3
+        assert {m: r.throughput_bps for m, r in got.items()} == {
+            m: 1.0 for m in MODES}
+
+    def test_cli_rejects_zero_runs(self):
+        from b4ns.cli import main_bench
+
+        with pytest.raises(SystemExit) as e:
+            main_bench(["--runs", "0", "--mode", "direct"])
+        assert e.value.code == 2
 
 
 class TestReport:

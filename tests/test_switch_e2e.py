@@ -449,6 +449,17 @@ class TestDecidedFromLiveSocket:
         assert run.result("getsockopt")["value"] == socket.AF_INET6
         assert run.sup.counters.sockets_switched == 0
 
+    def test_short_inet_sockaddr_gets_einval(self, tmp_path, echo_server):
+        # the kernel rejects an AF_INET addrlen below sizeof(sockaddr_in)
+        script = [{"op": "socket"},
+                  {"op": "connect_raw", "host": echo_server.host,
+                   "port": echo_server.port, "len": 8},
+                  {"op": "close"}]
+        run, ctl = self._both(tmp_path, script)
+        assert ctl.result("connect_raw")["err"] == errno.EINVAL
+        assert run.result("connect_raw") == ctl.result("connect_raw")
+        assert run.sup.counters.sockets_switched == 0
+
     def test_connect_on_listening_socket_gets_eisconn(self, tmp_path,
                                                        echo_server):
         script = [{"op": "socket"},
