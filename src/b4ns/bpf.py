@@ -9,6 +9,7 @@ import ctypes
 import os
 
 from .registry import COPIED_OPTIONS, UNHOOKED_IOCTLS
+from .sockaddr import SOCKADDR_IN_SIZE
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, NR
 
 _libc = ctypes.CDLL(None, use_errno=True)
@@ -25,6 +26,7 @@ BPF_W = 0x00
 BPF_ABS = 0x20
 BPF_JMP = 0x05
 BPF_JEQ = 0x10
+BPF_JGE = 0x30
 BPF_K = 0x00
 BPF_RET = 0x06
 
@@ -61,13 +63,24 @@ _ALLOWED_ARGS = {
     NR["setsockopt"]: ((_OFF_ARG1_LO, _OFF_ARG2_LO), COPIED_OPTIONS),
 }
 
+# syscall number -> (offset of an argument word, the least value that
+# notifies): a smaller one is allowed.  connect's and bind's addrlen is an
+# int to the kernel, and inet_bind and tcp_v4_connect reject one below
+# sizeof(struct sockaddr_in), so such a call can never be switched.  The
+# unsigned compare lets a negative addrlen through to the supervisor,
+# which continues it
+_LEAST_ARGS = {NR[name]: (_OFF_ARG2_LO, SOCKADDR_IN_SIZE)
+               for name in ("connect", "bind")}
+
 _LD_ABS = BPF_LD | BPF_W | BPF_ABS
 _JEQ_K = BPF_JMP | BPF_JEQ | BPF_K
+_JGE_K = BPF_JMP | BPF_JGE | BPF_K
 
 
 def build_notify_filter(hooked_nrs=HOOKED_NRS):
     """Filter program: hooked syscalls -> USER_NOTIF, everything else ALLOW;
-    a syscall in _ALLOWED_ARGS is allowed for a listed argument tuple.
+    a syscall in _ALLOWED_ARGS is allowed for a listed argument tuple, and
+    one in _LEAST_ARGS for an argument below its least value.
 
     Wrong-arch syscalls are allowed rather than killed: the supervisor is a
     performance aid, not a security boundary, and must never break the target.
@@ -82,13 +95,19 @@ def build_notify_filter(hooked_nrs=HOOKED_NRS):
         (_JEQ_K, AUDIT_ARCH_X86_64, None, SECCOMP_RET_ALLOW),
         (_LD_ABS, _OFF_NR, None, None),
     ]
-    prog += [(_JEQ_K, nr, (nr,) if nr in _ALLOWED_ARGS
+    prog += [(_JEQ_K, nr, (nr,) if nr in _ALLOWED_ARGS or nr in _LEAST_ARGS
               else SECCOMP_RET_USER_NOTIF, None) for nr in nrs]
     prog.append((BPF_RET, SECCOMP_RET_ALLOW, None, None))
     labels = {}
     for nr in nrs:
         if nr in _ALLOWED_ARGS:
             _append_arg_checks(prog, labels, (nr,), *_ALLOWED_ARGS[nr])
+        elif nr in _LEAST_ARGS:
+            off, least = _LEAST_ARGS[nr]
+            labels[(nr,)] = len(prog)
+            prog += [(_LD_ABS, off, None, None),
+                     (_JGE_K, least, SECCOMP_RET_USER_NOTIF,
+                      SECCOMP_RET_ALLOW)]
     for verdict in (SECCOMP_RET_ALLOW, SECCOMP_RET_USER_NOTIF):
         labels[verdict] = len(prog)
         prog.append((BPF_RET, verdict, None, None))

@@ -98,6 +98,7 @@ class ManagedInstance:
         self.error = None
         self.supervisor = None
         self.probe_cache = None
+        self._attaching = True
         self._thread = None
         self._lock = threading.Lock()
 
@@ -113,10 +114,13 @@ class ManagedInstance:
                                  timeout=self.attach_timeout)
         except (HandoffFailed, UnsupportedKernel, OSError) as e:
             with self._lock:
-                self.state = "failed"
-                self.error = f"AttachFailed: {e}"
+                self._attaching = False
+                if self.state == "starting":  # a stopped one stays stopped
+                    self.state = "failed"
+                    self.error = f"AttachFailed: {e}"
             return
         with self._lock:
+            self._attaching = False
             stopped = self.state != "starting"  # stop() came during attach
         if stopped:
             chan.close()  # nothing started and nothing published yet
@@ -172,6 +176,11 @@ class ManagedInstance:
     def stop(self):
         with self._lock:
             if self.state in ("stopped", "failed"):
+                return
+            if self._attaching:
+                # no supervisor to wake, and nothing started or published:
+                # _run closes whatever channel the attach returns
+                self.state = "stopped"
                 return
             self.state = "stopping"
         sup = self.supervisor

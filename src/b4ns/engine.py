@@ -31,7 +31,13 @@ from typing import Optional
 
 from .errors import B4nsError, MemFault, ReplayFailed, TargetGone
 from .notify import Response
-from .registry import SocketStatus, copy_options, replay_options
+from .registry import (
+    SocketRecord,
+    SocketStatus,
+    copy_options,
+    must_keep,
+    replay_options,
+)
 from .sockaddr import (
     SOCKADDR_IN_SIZE,
     pack_sockaddr_in,
@@ -127,13 +133,11 @@ SwitchDecision.IGNORE = SwitchDecision("ignore")
 SwitchDecision.SWITCH = SwitchDecision("switch")
 
 
-def decide(rec, op, env: NetEnvironment, probes=None, multinode=None):
+def decide(op, env: NetEnvironment, probes=None, multinode=None):
     """Verdict for one connect/bind attempt on a socket the caller found
-    switchable, ``rec`` its record.  Uncertainty degrades to ignore: the
-    unswitched path is slow but always correct."""
+    switchable and not marked otherwise.  Uncertainty degrades to ignore:
+    the unswitched path is slow but always correct."""
     kind, family, addr, port = op
-    if rec.status is not SocketStatus.TRACKABLE:
-        return SwitchDecision.IGNORE
     if family != socket.AF_INET or addr is None:
         return SwitchDecision.IGNORE
 
@@ -169,11 +173,8 @@ def decide(rec, op, env: NetEnvironment, probes=None, multinode=None):
     return SwitchDecision.IGNORE
 
 
-def _read_sockaddr(mem, pid, addr_ptr, addrlen):
-    if addr_ptr == 0 or addrlen <= 0:
-        raise MemFault("bad sockaddr pointer")
-    raw = mem.read(pid, addr_ptr, min(addrlen, 128))
-    return raw
+# sizeof(struct sockaddr_storage): the kernel rejects a longer addrlen
+_MAX_ADDRLEN = 128
 
 
 def parse_connection_args(mem, event):
@@ -181,20 +182,26 @@ def parse_connection_args(mem, event):
 
     Returns (raw_bytes, family, addr, port); raises MemFault/TargetGone.
     """
-    addr_ptr, addrlen = event.args[1], event.args[2]
-    raw = _read_sockaddr(mem, event.pid, addr_ptr, addrlen)
+    # addrlen is an int to the kernel, as to the filter: the upper half of
+    # the register is ignored, and move_addr_to_kernel rejects a length
+    # that is negative or longer than a sockaddr_storage
+    addr_ptr, addrlen = event.args[1], event.args[2] & 0xFFFFFFFF
+    if addr_ptr == 0 or not 0 < addrlen <= _MAX_ADDRLEN:
+        raise MemFault("bad sockaddr pointer or length")
+    raw = mem.read(event.pid, addr_ptr, addrlen)
     family, addr, port = parse_sockaddr(raw)
     return raw, family, addr, port
 
 
 def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
     """Carry out a switch/rewrite verdict for a connect or bind as one
-    fail-closed transaction: replay recorded options onto a host socket,
-    copy the copied ones from ``dup`` (the caller's duplicate of the
-    target's fd, which this closes), bind it to the host endpoint (bind) or
-    rewrite the sockaddr (rewrite), validate the cookie once, copy the
-    target fd's flags onto the host socket where they differ from its own
-    and inject it under the target's fd number.  ``raw`` is the sockaddr as ``parse_connection_args`` read
+    fail-closed transaction: replay the options recorded in ``rec`` (None
+    for a socket without a record) onto a host socket, copy the copied ones
+    from ``dup`` (the caller's duplicate of the target's fd, which this
+    closes), bind it to the host endpoint (bind) or rewrite the sockaddr and
+    validate the cookie (rewrite), copy the target fd's flags onto the host
+    socket where they differ from its own and inject it under the target's
+    fd number.  ``raw`` is the sockaddr as ``parse_connection_args`` read
     it; any failure before the injection restores the rewritten bytes from
     it and lets the original syscall go ahead unchanged.  The host socket
     and ``dup`` are closed on every path, and exactly one response is sent
@@ -222,28 +229,39 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
                 return None  # never grow the target's sockaddr buffer
             saved = raw[: len(new_raw)]
             mem.write(event.pid, addr_ptr, new_raw)
+            # the target must still be waiting in the syscall whose memory
+            # was just written, not in a later one at the same address
+            if not chan.validate(event):
+                return None
         elif is_bind:
             host_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             host_sock.bind(decision.new_dest)
-        if not chan.validate(event):
-            return None
         flags = mem.fd_flags(event.pid, event.fd_arg)
         if flags & ~os.O_CLOEXEC != _FRESH_FLAGS:
             fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
-        inode = socket_inode(host_sock.fileno())
+        if rec is None and decision.spoof_peer is not None:
+            rec = SocketRecord(event.pid, event.fd_arg, SocketStatus.TRACKABLE)
+        # only a record the registry keeps needs the injected socket's inode
+        inode = (socket_inode(host_sock.fileno()) if rec is not None
+                 and must_keep(rec, decision.spoof_peer) else None)
+        # with nothing written, no validate: ADDFD itself fails with ENOENT
+        # once the notification is no longer pending (seccomp_unotify(2))
         chan.inject_fd(event, host_sock.fileno(), event.fd_arg,
                        cloexec=bool(flags & os.O_CLOEXEC))
         injected = True
-        registry.mark_switched(rec, spoofed_peer=decision.spoof_peer,
-                               inode=inode)
+        if rec is not None:
+            registry.mark_switched(rec, spoofed_peer=decision.spoof_peer,
+                                   inode=inode)
         return True
     except ReplayFailed as e:
         log.warning("option replay failed on (%d,%d): %s; staying unswitched",
-                    rec.pid, rec.fd, e)
-        registry.mark_non_switchable(rec)
+                    event.pid, event.fd_arg, e)
+        if rec is not None:
+            registry.mark_non_switchable(rec)
         return None
     except (OSError, B4nsError) as e:
-        log.info("switch of (%d,%d) rolled back: %s", rec.pid, rec.fd, e)
+        log.info("switch of (%d,%d) rolled back: %s", event.pid,
+                 event.fd_arg, e)
         return None
     finally:
         if saved is not None and not injected:

@@ -229,6 +229,8 @@ class SocketRegistry:
         a stale one is dropped through on_close and None returned.  The
         fd's identity comes from ``dup``, a held duplicate of it, if given,
         else from ``mem.fd_inode``."""
+        if (pid, fd) not in self._records:
+            return None  # most fds have no record: no lock, no identity
         with self._lock:
             rec = self._records.get((pid, fd))
             if rec is not None and rec.inode != (
@@ -252,15 +254,13 @@ class SocketRegistry:
 
     def mark_switched(self, rec, spoofed_peer=None, inode=None):
         """``inode`` is the injected host socket's: the fd holds it now.
-        The record is kept only for what the live socket cannot tell: its
-        options (another connect on the fd replays them) or a spoofed
-        peer."""
+        The record is kept only if ``must_keep`` says so."""
         with self._lock:
             rec.transition(SocketStatus.SWITCHED)
             rec.spoofed_peer = spoofed_peer
             rec.inode = inode
             key = (rec.pid, rec.fd)
-            if rec.options or spoofed_peer is not None:
+            if must_keep(rec, spoofed_peer):
                 self._records[key] = rec
             elif self._records.get(key) is rec:
                 del self._records[key]
@@ -295,14 +295,22 @@ class SocketRegistry:
             ]
 
 
-def replay_options(rec: SocketRecord, host_socket: socket.socket):
-    """Apply the recorded options to a fresh host socket, in the order the
-    target set them (one supervisor thread appends them).
+def must_keep(rec, spoofed_peer):
+    """Whether a switched socket's record holds what the live socket cannot
+    tell: its options (another connect on the fd replays them) or a spoofed
+    peer."""
+    return bool(rec.options) or spoofed_peer is not None
+
+
+def replay_options(rec, host_socket: socket.socket):
+    """Apply the options recorded in ``rec`` to a fresh host socket, in the
+    order the target set them (one supervisor thread appends them); a
+    socket without a record (``rec`` None) has none.
 
     Any failure raises ReplayFailed and the caller must abort the switch;
     a half-configured switched socket is never acceptable.
     """
-    for ev in rec.options:
+    for ev in rec.options if rec is not None else ():
         try:
             ev.apply(host_socket)
         except ReplayFailed:

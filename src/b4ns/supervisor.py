@@ -16,14 +16,12 @@ from .notify import Response
 from .registry import (
     UNHOOKED_IOCTLS,
     OptionEvent,
-    SocketRecord,
     SocketRegistry,
     SocketStatus,
     classify_syscall,
     switchable,
     SyscallClass,
 )
-from .sockaddr import socket_inode
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR
 from .targetmem import MemService
 
@@ -207,9 +205,9 @@ class SupervisorInstance:
     def _connection_verdict(self, event, name, dup):
         """(action, None) for a connect/bind that continues unswitched, or
         (verdict, (rec, decision, raw)) for one to switch.  The live socket
-        decides; a record only adds what it cannot tell, and one is never
-        created here: a switch without one gets a record that the registry
-        keeps only if it must."""
+        decides; a record, if the fd has one, only adds what it cannot tell.
+        None is created here: a fresh socket is switched with ``rec`` None,
+        and gets a record only if the switch leaves one to keep."""
         rec = self.registry.lookup(event.pid, event.fd_arg, self.mem, dup)
         if rec is not None and rec.status is not SocketStatus.TRACKABLE:
             return "continue", None
@@ -222,11 +220,8 @@ class SupervisorInstance:
         # the sockaddr just read feeds a security decision: revalidate
         if not self.chan.validate(event):
             return "stale", None
-        if rec is None:
-            rec = SocketRecord(event.pid, event.fd_arg, SocketStatus.TRACKABLE,
-                               inode=socket_inode(dup.local_fd))
         decision = engine.decide(
-            rec, (name, family, addr, port), self.env,
+            (name, family, addr, port), self.env,
             probes=self.probes, multinode=self.multinode)
         if decision.verdict == "ignore":
             return "ignore", None

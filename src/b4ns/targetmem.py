@@ -5,7 +5,8 @@ agent that re-opens it with the target's credentials and passes the fd back
 over a unix socket).  Fd duplicates come from pidfd_getfd(2), through a
 pidfd per process that also tells when the process exits.  An fd's flags
 and identity are read through the process's /proc/<pid>/fdinfo and
-/proc/<pid>/fd directories, each opened once.
+/proc/<pid>/fd directories, each opened once, and the flags through one
+fdinfo file per process, held open while the same fd number is asked.
 """
 
 import _socket
@@ -247,6 +248,7 @@ class MemService:
         self._handles = {}
         self.pidfd_cache = {}
         self._dirs = {}  # pid -> (/proc/pid/fd, /proc/pid/fdinfo) fds
+        self._fdinfo = {}  # pid -> (fd, open /proc/pid/fdinfo/<fd>)
         self._chan = chan
         self._on_exit = on_exit
 
@@ -319,17 +321,36 @@ class MemService:
         """Open flags of the target's fd, O_CLOEXEC included when
         close-on-exec is set on it, as /proc/<pid>/fdinfo/<fd> reports
         them."""
-        # raw os calls: a text-mode open() costs several times as much, and
-        # this runs once per switched connect
+        held = self._fdinfo.get(pid)
+        if held is None or held[0] != fd:
+            held = self._hold_fdinfo(pid, fd)
         try:
-            info = os.open(str(fd), os.O_RDONLY, dir_fd=self._proc_dirs(pid)[1])
+            # raw os calls: a text-mode read costs several times as much,
+            # and this runs once per switched connect
+            text = os.pread(held[1], 256, 0)
         except (FileNotFoundError, ProcessLookupError):
             raise TargetGone(f"fd {fd} of pid {pid} is gone")
-        try:
-            text = os.read(info, 256)
-        finally:
-            os.close(info)
         return int(text.split(b"\nflags:", 1)[1].split(None, 1)[0], 8)
+
+    def _hold_fdinfo(self, pid, fd):
+        """Open /proc/<pid>/fdinfo/<fd> in place of the one held for the
+        process's previous fd.  The kernel looks the fd up by number at
+        every read of the file (seq_show in fs/proc/fd.c), so one open
+        handle follows the number through close and reuse: a read gives
+        ENOENT while no file is open under it, and the flags of whatever
+        file is open under it otherwise."""
+        self._drop_fdinfo(pid)
+        try:
+            h = os.open(str(fd), os.O_RDONLY, dir_fd=self._proc_dirs(pid)[1])
+        except (FileNotFoundError, ProcessLookupError):
+            raise TargetGone(f"fd {fd} of pid {pid} is gone")
+        held = self._fdinfo[pid] = (fd, h)
+        return held
+
+    def _drop_fdinfo(self, pid):
+        held = self._fdinfo.pop(pid, None)
+        if held is not None:
+            os.close(held[1])
 
     def fd_inode(self, pid, fd):
         """Inode of the socket the target's fd refers to, as the link
@@ -357,6 +378,7 @@ class MemService:
         h = self._handles.pop(pid, None)
         if h is not None:
             h.close()
+        self._drop_fdinfo(pid)
         for d in self._dirs.pop(pid, ()):
             os.close(d)
         pidfd = self.pidfd_cache.pop(pid, None)

@@ -2,6 +2,7 @@
 used by unit tests that exercise decision/execution logic without a live
 supervised process."""
 
+import os
 import socket
 
 from b4ns.errors import FdNotAvailable, MemFault, StaleCookie, TargetGone
@@ -67,6 +68,10 @@ class FakeMem:
 
     def fd_inode(self, pid, fd):
         return self.inodes.get((pid, fd))
+
+    def fd_flags(self, pid, fd):
+        """A fresh socket's flags: read-write, close-on-exec."""
+        return os.O_RDWR | os.O_CLOEXEC
 
     def close(self):
         pass

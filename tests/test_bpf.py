@@ -12,6 +12,7 @@ import pytest
 from b4ns.bpf import (
     BPF_ABS,
     BPF_JEQ,
+    BPF_JGE,
     BPF_JMP,
     BPF_K,
     BPF_LD,
@@ -52,6 +53,8 @@ def run_filter(nr, args=(), arch=AUDIT_ARCH_X86_64, prog=PROG):
             pc += 1
         elif ins.code == BPF_JMP | BPF_JEQ | BPF_K:
             pc += 1 + (ins.jt if acc == ins.k else ins.jf)
+        elif ins.code == BPF_JMP | BPF_JGE | BPF_K:
+            pc += 1 + (ins.jt if acc >= ins.k else ins.jf)  # unsigned
         elif ins.code == BPF_RET:
             return ins.k
         else:
@@ -59,14 +62,15 @@ def run_filter(nr, args=(), arch=AUDIT_ARCH_X86_64, prog=PROG):
 
 
 def verdict(name, cmd=0, **kw):
-    return run_filter(NR[name], args=(3, cmd), **kw)
+    # args[2] is a whole sockaddr_in's length for connect and bind
+    return run_filter(NR[name], args=(3, cmd, 16), **kw)
 
 
 class TestVerdicts:
     @pytest.mark.parametrize("nr", HOOKED_NRS, ids=HOOKED_SYSCALLS)
     def test_every_hooked_syscall_notifies_for_some_argument(self, nr):
         cmds = (0, fcntl.F_SETFL, FIONBIO)
-        assert NOTIF in {run_filter(nr, args=(3, c)) for c in cmds}
+        assert NOTIF in {run_filter(nr, args=(3, c, 16)) for c in cmds}
 
     @pytest.mark.parametrize("name", ["getsockopt", "getsockname",
                                       "shutdown"])
@@ -166,9 +170,30 @@ class TestSetsockoptVerdicts:
         assert setsockopt(tcp, socket.TCP_MAXSEG | nodelay << 32) == NOTIF
 
 
+class TestAddrlenVerdicts:
+    """A connect or bind whose addrlen is below sizeof(struct sockaddr_in)
+    fails in the kernel for AF_INET and is never switched: it passes."""
+
+    @pytest.mark.parametrize("name", ["connect", "bind"])
+    @pytest.mark.parametrize("addrlen,want", [
+        (0, ALLOW), (12, ALLOW), (15, ALLOW), (16, NOTIF), (28, NOTIF),
+        (128, NOTIF), (0xFFFFFFFF, NOTIF),
+    ], ids=["0", "12-netlink", "15", "16", "28-inet6", "128", "negative"])
+    def test_least_addrlen(self, name, addrlen, want):
+        assert run_filter(NR[name], args=(3, 0x7FFF0000, addrlen)) == want
+
+    @pytest.mark.parametrize("junk", [1, 0xDEAD, 0xFFFFFFFF])
+    def test_upper_half_of_addrlen_is_ignored(self, junk):
+        # the kernel takes addrlen as an int
+        for name in ("connect", "bind"):
+            assert run_filter(NR[name], args=(3, 0, 15 | junk << 32)) == ALLOW
+            assert run_filter(NR[name], args=(3, 0, 16 | junk << 32)) == NOTIF
+
+
 def test_jumps_are_forward_and_land_inside():
+    jumps = (BPF_JMP | BPF_JEQ | BPF_K, BPF_JMP | BPF_JGE | BPF_K)
     for pc, ins in enumerate(PROG):
-        if ins.code == BPF_JMP | BPF_JEQ | BPF_K:
+        if ins.code in jumps:
             for off in (ins.jt, ins.jf):
                 assert pc + 1 + off < len(PROG)
         else:

@@ -203,6 +203,19 @@ class TestDaemonDirect:
         assert st.state == "failed"
         assert "AttachFailed" in st.error
 
+    def test_stop_during_attach_returns_at_once(self, tmp_path):
+        spec = ContainerSpec("t2", str(tmp_path / "never.sock"))
+        inst = ManagedInstance(spec, attach_timeout=0.3)
+        inst.start()
+        t0 = time.monotonic()
+        inst.stop()
+        assert time.monotonic() - t0 < 0.5
+        assert inst.status().state == "stopped"
+        inst._thread.join(5)  # the attach times out meanwhile
+        assert not inst._thread.is_alive()
+        st = inst.status()
+        assert (st.state, st.error) == ("stopped", None)
+
     def test_duplicate_raises_at_daemon_layer(self, tmp_path):
         d = Daemon(node_id="n")
         try:
@@ -235,7 +248,7 @@ class TestDaemonDirect:
         stopper = threading.Thread(target=inst.stop)
         stopper.start()
         deadline = time.monotonic() + 5
-        while inst.status().state != "stopping" and time.monotonic() < deadline:
+        while inst.status().state == "starting" and time.monotonic() < deadline:
             time.sleep(0.01)
         release.set()  # a runtime hands off only now
         stopper.join(10)

@@ -144,7 +144,7 @@ class TestIntegerMatchAgreesWithIpaddress:
     @example(addr="126.255.255.255")
     def test_loopback_branch(self, addr):
         env = NetEnvironment(container_cidrs=["::/0"])
-        d = decide(trackable(), ("connect", socket.AF_INET, addr, 80), env)
+        d = decide(("connect", socket.AF_INET, addr, 80), env)
         loopback = ipaddress.ip_address(addr).is_loopback
         assert d.verdict == ("ignore" if loopback else "switch")
 
@@ -154,53 +154,46 @@ class TestDecide:
                          published_ports=[mapping()])
 
     def test_external_connect_switches(self):
-        d = decide(trackable(), ("connect", socket.AF_INET, "93.184.216.34", 443),
+        d = decide(("connect", socket.AF_INET, "93.184.216.34", 443),
                    self.ENV)
         assert d.verdict == "switch"
 
-    def test_non_trackable_ignored(self):
-        rec = SocketRecord(pid=1, fd=3)
-        rec.transition(SocketStatus.NON_SWITCHABLE)
-        d = decide(rec, ("connect", socket.AF_INET, "93.184.216.34", 443),
-                   self.ENV)
-        assert d.verdict == "ignore"
-
     def test_ipv6_ignored(self):
-        d = decide(trackable(), ("connect", socket.AF_INET6, "::1", 443),
+        d = decide(("connect", socket.AF_INET6, "::1", 443),
                    self.ENV)
         assert d.verdict == "ignore"
 
     def test_loopback_ignored_by_default(self):
-        d = decide(trackable(), ("connect", socket.AF_INET, "127.0.0.1", 443),
+        d = decide(("connect", socket.AF_INET, "127.0.0.1", 443),
                    self.ENV)
         assert d.verdict == "ignore"
 
     def test_loopback_switches_when_policy_allows(self):
         env = NetEnvironment(container_cidrs=["10.4.0.0/24"],
                              host_loopback_allowed=True)
-        d = decide(trackable(), ("connect", socket.AF_INET, "127.0.0.1", 443),
+        d = decide(("connect", socket.AF_INET, "127.0.0.1", 443),
                    env)
         assert d.verdict == "switch"
 
     def test_published_container_dest_rewrites(self):
-        d = decide(trackable(), ("connect", socket.AF_INET, "10.4.0.2", 80),
+        d = decide(("connect", socket.AF_INET, "10.4.0.2", 80),
                    self.ENV)
         assert d.verdict == "rewrite"
         assert d.new_dest == ("127.0.0.1", 8080)
         assert d.spoof_peer == ("10.4.0.2", 80)
 
     def test_unpublished_container_dest_ignored(self):
-        d = decide(trackable(), ("connect", socket.AF_INET, "10.4.0.9", 80),
+        d = decide(("connect", socket.AF_INET, "10.4.0.9", 80),
                    self.ENV)
         assert d.verdict == "ignore"
 
     def test_bind_on_published_port_switches(self):
-        d = decide(trackable(), ("bind", socket.AF_INET, "0.0.0.0", 80),
+        d = decide(("bind", socket.AF_INET, "0.0.0.0", 80),
                    self.ENV)
         assert d.verdict == "switch"
 
     def test_bind_on_unpublished_port_ignored(self):
-        d = decide(trackable(), ("bind", socket.AF_INET, "0.0.0.0", 81),
+        d = decide(("bind", socket.AF_INET, "0.0.0.0", 81),
                    self.ENV)
         assert d.verdict == "ignore"
 
@@ -210,19 +203,19 @@ class TestProbeGating:
     OP = ("connect", socket.AF_INET, "10.4.0.2", 80)
 
     def test_fresh_positive_allows_rewrite(self):
-        d = decide(trackable(), self.OP, self.ENV, probes=StubProbes(True))
+        d = decide(self.OP, self.ENV, probes=StubProbes(True))
         assert d.verdict == "rewrite"
 
     def test_negative_blocks(self):
-        d = decide(trackable(), self.OP, self.ENV, probes=StubProbes(False))
+        d = decide(self.OP, self.ENV, probes=StubProbes(False))
         assert d.verdict == "ignore"
 
     def test_unknown_blocks(self):
-        d = decide(trackable(), self.OP, self.ENV, probes=StubProbes(None))
+        d = decide(self.OP, self.ENV, probes=StubProbes(None))
         assert d.verdict == "ignore"
 
     def test_unconfigured_probing_does_not_gate(self):
-        d = decide(trackable(), self.OP, self.ENV, probes=None)
+        d = decide(self.OP, self.ENV, probes=None)
         assert d.verdict == "rewrite"
 
 
@@ -232,13 +225,13 @@ class TestMultinode:
 
     def test_local_mapping_wins_over_remote(self):
         mn = StubMultinode({("10.4.0.2", 80): ("198.51.100.9", 9999)})
-        d = decide(trackable(), ("connect", socket.AF_INET, "10.4.0.2", 80),
+        d = decide(("connect", socket.AF_INET, "10.4.0.2", 80),
                    self.ENV, multinode=mn)
         assert d.new_dest == ("127.0.0.1", 8080)
 
     def test_remote_mapping_rewrites(self):
         mn = StubMultinode({("10.4.1.5", 80): ("198.51.100.9", 9080)})
-        d = decide(trackable(), ("connect", socket.AF_INET, "10.4.1.5", 80),
+        d = decide(("connect", socket.AF_INET, "10.4.1.5", 80),
                    self.ENV, multinode=mn)
         assert d.verdict == "rewrite"
         assert d.new_dest == ("198.51.100.9", 9080)
@@ -246,7 +239,7 @@ class TestMultinode:
 
     def test_unknown_remote_ignored(self):
         mn = StubMultinode({})
-        d = decide(trackable(), ("connect", socket.AF_INET, "10.4.1.5", 80),
+        d = decide(("connect", socket.AF_INET, "10.4.1.5", 80),
                    self.ENV, multinode=mn)
         assert d.verdict == "ignore"
 
@@ -267,6 +260,28 @@ class TestParseConnectionArgs:
         ev = make_event(pid=1000, args=(3, 0, 16))
         with pytest.raises(MemFault):
             engine.parse_connection_args(FakeMem(), ev)
+
+    @pytest.mark.parametrize("addrlen,ok", [
+        (16, True), (128, True), (129, False), (0, False),
+        (0xFFFFFFFF, False),  # -1 as an int
+        (16 | 0xDEAD << 32, True),
+        (200 | 1 << 32, False),
+    ], ids=["16", "128", "129", "0", "negative", "junk-16", "junk-200"])
+    def test_addrlen_is_the_kernels_int(self, addrlen, ok):
+        # move_addr_to_kernel takes the low word as an int and rejects a
+        # negative length or one over sizeof(struct sockaddr_storage)
+        from b4ns.errors import MemFault
+
+        mem = FakeMem()
+        raw = pack_sockaddr_in("10.4.0.2", 80)
+        ev = make_event(pid=1000, args=(3, mem.place(1000, 0x40, raw),
+                                        addrlen))
+        if ok:
+            got = engine.parse_connection_args(mem, ev)
+            assert got[1:] == (socket.AF_INET, "10.4.0.2", 80)
+        else:
+            with pytest.raises(MemFault):
+                engine.parse_connection_args(mem, ev)
 
 
 class TestHandleStatus:
@@ -426,7 +441,7 @@ class TestExecuteSwitchRollback:
             chan = FakeChannel()
             ev, _, raw = self._event_with_sockaddr(mem, "0.0.0.0", 80)
             rec = trackable()
-            decision = decide(rec, ("bind", socket.AF_INET, "0.0.0.0", 80),
+            decision = decide(("bind", socket.AF_INET, "0.0.0.0", 80),
                               NetEnvironment(published_ports=[mapping(
                                   hport=busy.getsockname()[1])]))
             fds_before = len(os.listdir("/proc/self/fd"))
@@ -439,3 +454,65 @@ class TestExecuteSwitchRollback:
         assert [r.kind for _, r in chan.responses] == ["continue"]
         assert chan.injections == []
         assert rec.status is SocketStatus.TRACKABLE
+
+
+class TestExecuteSwitchWithoutRecord:
+    """A fresh socket has no record: the switch builds one only to keep a
+    spoofed peer, and validates only after writing target memory."""
+
+    def _event(self, mem):
+        raw = pack_sockaddr_in("10.4.0.2", 80)
+        return make_event(pid=1000, args=(3, mem.place(1000, 0x40, raw),
+                                          len(raw))), raw
+
+    def test_plain_switch_keeps_no_record(self, monkeypatch):
+        from b4ns.registry import SocketRegistry
+
+        def no_fstat(fd):
+            raise AssertionError("inode of a socket no record keeps")
+
+        monkeypatch.setattr(engine, "socket_inode", no_fstat)
+        mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
+        ev, raw = self._event(mem)
+        out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, raw,
+                                    chan, mem, reg, held_dup())
+        assert out is True
+        assert [i[2:] for i in chan.injections] == [(3, True)]
+        # nothing written: ADDFD alone fails on a notification gone stale
+        assert chan.validate_calls == 0
+        assert mem.writes == []
+        assert reg.snapshot() == []
+        assert chan.last_response().kind == "continue"
+
+    def test_rewrite_keeps_a_record_for_the_spoofed_peer(self):
+        from b4ns.registry import SocketRegistry
+
+        mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
+        ev, raw = self._event(mem)
+        decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
+                                  spoof_peer=("10.4.0.2", 80))
+        out = engine.execute_switch(ev, None, decision, raw, chan, mem, reg,
+                                    held_dup())
+        assert out is True
+        assert chan.validate_calls == 1  # after the write
+        rec = reg.get(1000, 3)
+        assert rec.status is SocketStatus.SWITCHED
+        assert rec.spoofed_peer == ("10.4.0.2", 80)
+        assert rec.inode is not None
+
+    def test_replay_failure_without_record_rolls_back(self, monkeypatch):
+        from b4ns.errors import ReplayFailed
+        from b4ns.registry import SocketRegistry
+
+        def fail(rec, host_socket):
+            raise ReplayFailed("fault injection")
+
+        monkeypatch.setattr(engine, "replay_options", fail)
+        mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
+        ev, raw = self._event(mem)
+        out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, raw,
+                                    chan, mem, reg, held_dup())
+        assert out is None
+        assert chan.injections == []
+        assert reg.snapshot() == []
+        assert chan.last_response().kind == "continue"

@@ -143,22 +143,19 @@ class TestGatingEndToEnd:
     def test_flip_from_ignore_to_rewrite(self, agent):
         import b4ns.engine as engine
         from b4ns.engine import NetEnvironment, PublishMapping
-        from b4ns.registry import SocketRecord, SocketStatus
 
         env = NetEnvironment(
             container_cidrs=["127.0.0.0/8"],
             host_loopback_allowed=True,
             published_ports=[PublishMapping("127.0.0.2", PORT_A,
                                             "127.0.0.1", 19999)])
-        rec = SocketRecord(pid=1, fd=3)
-        rec.transition(SocketStatus.TRACKABLE)
         cache = ProbeCache(agent, src="test")
         op = ("connect", socket.AF_INET, "127.0.0.2", PORT_A)
 
-        first = engine.decide(rec, op, env, probes=cache)
+        first = engine.decide(op, env, probes=cache)
         assert first.verdict == "ignore"  # unknown never switches
         deadline = time.monotonic() + DEFAULT_PERIOD
         cache.refresh_all()  # one refresh cycle
-        second = engine.decide(rec, op, env, probes=cache)
+        second = engine.decide(op, env, probes=cache)
         assert second.verdict == "rewrite"
         assert time.monotonic() < deadline

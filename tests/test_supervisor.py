@@ -1,11 +1,13 @@
 """The supervisor's dispatch by syscall number, against in-memory fakes:
-which events touch the registry, and that a number is only decoded for the
-arch it belongs to."""
+which events touch the registry, that a number is only decoded for the
+arch it belongs to, and what a connect reads and keeps."""
 
 import os
 import socket
 
+from b4ns.engine import NetEnvironment
 from b4ns.registry import SocketRegistry, SocketStatus
+from b4ns.sockaddr import pack_sockaddr_in
 from b4ns.supervisor import SupervisorInstance
 from b4ns.sysnr import NR
 from b4ns.targetmem import RemoteFd
@@ -15,14 +17,21 @@ from fakes import FakeChannel, FakeMem, make_event
 AUDIT_ARCH_I386 = 0x40000003
 
 
-def supervisor():
+def supervisor(env=None):
     """A supervisor whose fd probes see one unconnected TCP socket."""
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     mem = FakeMem()
     mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os.dup(srv.fileno()))
-    sup = SupervisorInstance(FakeChannel(), env=None, mem=mem,
+    sup = SupervisorInstance(FakeChannel(), env=env, mem=mem,
                              registry=SocketRegistry(), keep_audit=True)
     return sup, srv
+
+
+def connect_event(sup, cookie=1):
+    """A connect on fd 3 to an address outside every container CIDR."""
+    raw = pack_sockaddr_in("93.184.216.34", 443)
+    ptr = sup.mem.place(1000, 0x40, raw)
+    return make_event(cookie=cookie, nr=NR["connect"], args=(3, ptr, len(raw)))
 
 
 class TestForeignArch:
@@ -83,3 +92,37 @@ class TestStatusCalls:
             srv.close()
         assert sup.registry.get(1000, 3) is None
         assert sup.chan.last_response().kind == "continue"
+
+
+class TestConnection:
+    def test_non_trackable_record_continues_unread(self):
+        sup, srv = supervisor()
+        try:
+            rec = sup.registry.ensure_registered(1000, 3, sup.mem)
+            sup.registry.mark_non_switchable(rec)
+            ev = connect_event(sup, cookie=5)
+
+            def no_read(*args):
+                raise AssertionError("sockaddr read for a marked socket")
+
+            sup.mem.read = no_read
+            sup._dispatch(ev)
+        finally:
+            srv.close()
+        assert sup.chan.last_response().kind == "continue"
+        assert sup.chan.injections == []
+        assert sup.counters.sockets_switched == 0
+        assert sup.audit == [(5, "connect", "continue")]
+
+    def test_fresh_socket_switches_without_a_record(self):
+        sup, srv = supervisor(NetEnvironment(container_cidrs=["10.4.0.0/24"]))
+        try:
+            sup._dispatch(connect_event(sup, cookie=6))
+        finally:
+            srv.close()
+        assert sup.counters.sockets_switched == 1
+        assert [i[2] for i in sup.chan.injections] == [3]
+        # one validate, after the sockaddr read; none before ADDFD
+        assert sup.chan.validate_calls == 1
+        assert sup.registry.snapshot() == []
+        assert sup.audit == [(6, "connect", "switch")]

@@ -155,6 +155,38 @@ class TestSwitchedSocketLifetime:
                if r["cmd"] == fcntl.F_GETFD]
         assert got == [flags, flags]
 
+    def test_fd_flags_follow_fd_reuse(self, tmp_path, echo_server):
+        # the supervisor holds one fdinfo file per process, for the last fd
+        # number it read: the second socket reuses the first one's number,
+        # the third takes another
+        def connect_and_read(sock):
+            return [{"op": "connect", "sock": sock, "host": echo_server.host,
+                     "port": echo_server.port},
+                    {"op": "fcntl_getfl", "sock": sock},
+                    {"op": "fcntl", "sock": sock, "cmd": fcntl.F_GETFD}]
+
+        script = ([{"op": "socket", "flags": socket.SOCK_NONBLOCK}]
+                  + connect_and_read("s0")
+                  + [{"op": "close"}, {"op": "socket"},
+                     {"op": "fcntl", "cmd": fcntl.F_SETFD, "arg": 0}]
+                  + connect_and_read("s0")
+                  + [{"op": "socket", "sock": "s1"}]
+                  + connect_and_read("s1")
+                  + [{"op": "close", "sock": "s1"}, {"op": "close"}])
+        run = supervise(tmp_path, script)
+        run.wait()
+        ctl = run_control(tmp_path, script)
+
+        def flags(r):
+            return ([f["flags"] & os.O_NONBLOCK
+                     for f in r.results("fcntl_getfl")],
+                    [f["value"] for f in r.results("fcntl")
+                     if f["cmd"] == fcntl.F_GETFD])
+
+        assert [c["ok"] for c in run.results("connect")] == [True] * 3
+        assert run.sup.counters.sockets_switched == 3
+        assert flags(run) == flags(ctl) == (
+            [os.O_NONBLOCK, 0, 0], [fcntl.FD_CLOEXEC, 0, fcntl.FD_CLOEXEC])
 
     def test_read_only_ioctls_keep_socket_switchable(self, tmp_path,
                                                      echo_server):

@@ -234,6 +234,36 @@ class TestMemService:
             svc.close()
         assert len(os.listdir("/proc/self/fd")) == fds_before
 
+    def test_one_fdinfo_handle_per_process(self, child, monkeypatch):
+        proc, _, sock_fd = child
+        svc = MemService()
+        fds_before = len(os.listdir("/proc/self/fd"))
+        try:
+            flags = svc.fd_flags(proc.pid, sock_fd)
+            # a pidfd, the two directories and the held fdinfo file
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 4
+            opened = []
+            real_open = os.open
+
+            def counting_open(*args, **kwargs):
+                opened.append(args[0])
+                return real_open(*args, **kwargs)
+
+            monkeypatch.setattr(os, "open", counting_open)
+            assert svc.fd_flags(proc.pid, sock_fd) == flags
+            assert opened == []  # the same fd number: one pread
+            # another fd number takes the handle's place
+            assert svc.fd_flags(proc.pid, 0) & os.O_ACCMODE == os.O_RDONLY
+            assert opened == ["0"]
+            monkeypatch.undo()
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 4
+            svc.forget(proc.pid)
+            assert len(os.listdir("/proc/self/fd")) == fds_before
+            svc.fd_flags(proc.pid, sock_fd)
+        finally:
+            svc.close()
+        assert len(os.listdir("/proc/self/fd")) == fds_before
+
     def test_forget_drops_handle(self, child):
         proc, addr, _ = child
         svc = MemService()
