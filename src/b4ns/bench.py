@@ -5,12 +5,12 @@ process with the same script.  The relay mode puts the architectural
 bottleneck of userspace port-forwarding (per-connection copy loops with a
 fixed buffer) between client and sink; the bypass mode supervises the
 client in a fresh network namespace whose socket gets switched to a host
-socket; direct is the unsupervised baseline.  Every transfer is
-digest-verified end to end -- a throughput number without a matching
-digest is discarded.
+socket; direct is the unsupervised baseline.  The sink checks every byte
+of every stream against the sender's pattern as it arrives -- a
+throughput number from a stream that differs in any byte or in length is
+discarded.
 """
 
-import hashlib
 import json
 import os
 import select
@@ -66,16 +66,6 @@ class BenchResult:
     digest_ok: bool = True
 
 
-def pattern_digest(nbytes):
-    h = hashlib.blake2b(digest_size=16)
-    left = nbytes
-    while left > 0:
-        chunk = BLOCK[: min(len(BLOCK), left)]
-        h.update(chunk)
-        left -= len(chunk)
-    return h.hexdigest()
-
-
 class _Listener:
     """A loopback listening socket.  ``close`` shuts it down first: that
     wakes a thread blocked in its ``accept``, which a bare close leaves
@@ -107,105 +97,56 @@ class _Listener:
         self.srv.close()
 
 
-class _DigestServer(_Listener):
-    """Accepts N connections, records the receive window (first byte in,
-    last byte in) for timing, and digests each stream.
+class _PatternSink(_Listener):
+    """Receives ``streams`` connections and checks each stream against the
+    pattern as it arrives, one ``BLOCK``-sized buffer per stream: every
+    full block must equal ``BLOCK``, the last partial one ``BLOCK[:n]``,
+    and the stream must hold exactly ``expected_bytes``.  Each stream's
+    outcome is ``(bytes, matched, first byte in, last byte in)``."""
 
-    Streams up to ``buffer_cap`` bytes are received into a preallocated
-    buffer and hashed after the transfer completes, so the digest check
-    never throttles the receive path it is supposed to validate; larger
-    streams fall back to hashing inline.
-    """
-
-    def __init__(self, streams, expected_bytes=0, host="127.0.0.1",
-                 buffer_cap=2 << 30):
-        super().__init__(streams, host)
+    def __init__(self, streams, expected_bytes):
+        super().__init__(streams)
         self.streams = streams
         self.expected_bytes = expected_bytes
-        self.buffered = 0 < expected_bytes * streams <= buffer_cap
-        self.digests = []
-        self.byte_counts = []
-        self.t_first = None
-        self.t_last = None
-        self._lock = threading.Lock()
-        self._threads = []
+        self.outcomes = []
+        self._done = threading.Condition()
+        self.serve(self._check)
 
-    def _recv_buffered(self, conn):
-        buf = bytearray(self.expected_bytes)
+    def _check(self, conn):
+        buf = bytearray(len(BLOCK))
         view = memoryview(buf)
-        total = 0
+        total = got = 0
+        matched = True
         t_first = t_last = None
-        while True:
-            n = conn.recv_into(view[total:] if total < len(buf) else
-                               bytearray(1 << 20))
-            if n == 0:
-                break
-            t_last = time.monotonic()
-            if t_first is None:
-                t_first = t_last
-            total += n
-        h = hashlib.blake2b(digest_size=16)
-        h.update(view[:min(total, len(buf))])
-        return h.hexdigest(), total, t_first, t_last
-
-    def _recv_inline(self, conn):
-        h = hashlib.blake2b(digest_size=16)
-        buf = bytearray(1 << 20)
-        total = 0
-        t_first = t_last = None
-        while True:
-            n = conn.recv_into(buf)
-            if n == 0:
-                break
-            t_last = time.monotonic()
-            if t_first is None:
-                t_first = t_last
-            h.update(memoryview(buf)[:n])
-            total += n
-        return h.hexdigest(), total, t_first, t_last
-
-    def _serve_one(self, conn):
-        with conn:
-            if self.buffered:
-                digest, total, t_first, t_last = self._recv_buffered(conn)
-            else:
-                digest, total, t_first, t_last = self._recv_inline(conn)
-        with self._lock:
-            if t_first is not None and (self.t_first is None
-                                        or t_first < self.t_first):
-                self.t_first = t_first
-            if t_last is not None and (self.t_last is None
-                                       or t_last > self.t_last):
-                self.t_last = t_last
-            self.digests.append(digest)
-            self.byte_counts.append(total)
-
-    def start(self):
-        def accept_loop():
-            for _ in range(self.streams):
-                try:
-                    conn, _ = self.srv.accept()
-                except OSError:
-                    return
-                t = threading.Thread(target=self._serve_one, args=(conn,),
-                                     daemon=True)
-                t.start()
-                self._threads.append(t)
-
-        self._acceptor = threading.Thread(target=accept_loop, daemon=True)
-        self._acceptor.start()
-        return self
+        try:
+            with conn:
+                while True:
+                    n = conn.recv_into(view[got:])
+                    if n:
+                        t_last = time.monotonic()
+                        if t_first is None:
+                            t_first = t_last
+                        got += n
+                    if got == len(buf) or (not n and got):
+                        # bytearray against bytes is one memcmp; comparing
+                        # memoryviews goes element by element
+                        matched &= (buf == BLOCK if got == len(buf)
+                                    else buf[:got] == BLOCK[:got])
+                        total += got
+                        got = 0
+                    if not n:
+                        break
+        except OSError:
+            matched = False
+        matched = matched and total == self.expected_bytes
+        with self._done:
+            self.outcomes.append((total, matched, t_first, t_last))
+            self._done.notify_all()
 
     def wait(self, timeout=300.0):
-        self._acceptor.join(timeout)
-        for t in self._threads:
-            t.join(timeout)
-
-    @property
-    def window(self):
-        if self.t_first is None or self.t_last is None:
-            return None
-        return max(self.t_last - self.t_first, 1e-6)
+        with self._done:
+            self._done.wait_for(lambda: len(self.outcomes) >= self.streams,
+                                timeout)
 
 
 class _EchoServer(_Listener):
@@ -342,25 +283,23 @@ def _finish_client(mode, proc, sup):
     return {line["op"]: line for line in map(json.loads, out.splitlines())}
 
 
-def _throughput_result(mode, cfg, server, cpu_used, wall):
-    per_stream = cfg.payload_bytes // cfg.parallel_streams
-    expected = pattern_digest(per_stream)
-    ok = (len(server.digests) == cfg.parallel_streams
-          and all(d == expected for d in server.digests))
-    window = server.window or wall
-    total = sum(server.byte_counts)
-    bps = total * 8 / window
-    if not ok:
-        raise SetupFailed(f"{mode}: transfer digest mismatch; result discarded")
+def _throughput_result(mode, cfg, sink, cpu_used, wall):
+    if (len(sink.outcomes) != cfg.parallel_streams
+            or not all(matched for _, matched, _, _ in sink.outcomes)):
+        raise SetupFailed(
+            f"{mode}: a stream does not match the pattern; result discarded")
+    nbytes, _, firsts, lasts = zip(*sink.outcomes)
+    # the receive window runs from the first byte in to the last
+    window = max(max(lasts) - min(firsts), 1e-6)
     return BenchResult(
         mode=mode,
-        throughput_bps=bps,
+        throughput_bps=sum(nbytes) * 8 / window,
         mean_latency_us=None,
         cpu_self_fraction=cpu_used / max(wall, 1e-6),
         payload_bytes=cfg.payload_bytes,
         streams=cfg.parallel_streams,
-        per_stream_bps=[n * 8 / window for n in server.byte_counts],
-        digest_ok=ok,
+        per_stream_bps=[n * 8 / window for n in nbytes],
+        digest_ok=True,
     )
 
 
@@ -374,8 +313,8 @@ def run_mode(mode, cfg_kwargs):
     if cfg.latency:
         sink = _EchoServer()
     else:
-        sink = _DigestServer(cfg.parallel_streams,
-                             cfg.payload_bytes // cfg.parallel_streams).start()
+        sink = _PatternSink(cfg.parallel_streams,
+                            cfg.payload_bytes // cfg.parallel_streams)
     relay = _Relay(sink.port) if mode == "relay" else None
     clients = []
     try:

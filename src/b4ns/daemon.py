@@ -281,7 +281,8 @@ class Daemon:
 # ---------------------------------------------------------------------------
 # management API plumbing (HTTP over a unix stream socket)
 
-class _UnixHTTPServer(socketserver.ThreadingUnixStreamServer):
+class _UnixHTTPServer(kvs_mod.PromptShutdown,
+                      socketserver.ThreadingUnixStreamServer):
     daemon_threads = True
     allow_reuse_address = True
 

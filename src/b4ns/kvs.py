@@ -11,6 +11,7 @@ single-host use, and an HTTP/JSON client speaking a minimal REST protocol
 import json
 import logging
 import os
+import socket
 import threading
 import time
 import urllib.parse
@@ -130,6 +131,20 @@ class HttpKvs:
             raise KvsUnavailable(f"delete {key}: HTTP {status}")
 
 
+class PromptShutdown:
+    """For a ``socketserver`` server run by ``serve_forever``: ``shutdown``
+    shuts the listening socket down first.  That makes it readable, so the
+    loop sees the request at once instead of at its next 0.5 s poll."""
+
+    def shutdown(self):
+        self.socket.shutdown(socket.SHUT_RDWR)
+        super().shutdown()
+
+
+class _HTTPServer(PromptShutdown, ThreadingHTTPServer):
+    pass
+
+
 def serve_kvs(backing: KvsClient, host="127.0.0.1", port=0):
     """Serve the REST wire format over a backing store.  Returns the running
     server (call .shutdown() to stop); .server_address gives the bound port."""
@@ -186,7 +201,7 @@ def serve_kvs(backing: KvsClient, host="127.0.0.1", port=0):
             self.send_response(204)
             self.end_headers()
 
-    srv = ThreadingHTTPServer((host, port), Handler)
+    srv = _HTTPServer((host, port), Handler)
     threading.Thread(target=srv.serve_forever, daemon=True,
                      name="b4ns-kvs-server").start()
     return srv

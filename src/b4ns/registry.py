@@ -5,31 +5,31 @@ Whether a socket can be switched is read from the live socket (``switchable``)
 at every connect and bind, so a record holds only what the kernel cannot
 tell: the options outside COPIED_OPTIONS, recorded for replay onto the
 host-side socket at switch time; a non-switchable mark (an unreplayable
-ioctl or option, or a failed replay); and a rewritten connection's spoofed
-peer.  Creation is never intercepted, so a record starts at the first
-configuration call that names the fd.  Neither is close: a record holds its
-socket's inode, and a record whose fd no longer holds that socket is dropped
-when the fd is next seen.  The copied options and the fd's file status flags
-are read from the kernel at switch time.
+ioctl or option, more than MAX_OPTIONS options, or a failed replay); and a
+rewritten connection's spoofed peer.  Creation is never intercepted, so a
+record starts at the first configuration call that names a socket fd; any
+other fd gets none.  Neither is close: a record holds its socket's inode,
+and a record whose fd no longer holds that socket is dropped when the fd is
+next seen.  The copied options and the fd's file status flags are read from
+the kernel at switch time.
 """
 
 import enum
 import functools
-import logging
 import socket
 import termios
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import FdNotAvailable, ReplayFailed
+from .errors import ReplayFailed
 from .sockaddr import socket_inode
-
-log = logging.getLogger(__name__)
 
 # tcp_info.tcpi_state of a socket neither connected, connecting nor listening
 TCP_CLOSE = 7
 _UNBOUND = ("0.0.0.0", 0)
+# options a record holds; one more marks its socket non-switchable
+MAX_OPTIONS = 64
 
 # ioctls that change nothing a switch must replay: they read state, or set
 # a flag (close-on-exec, O_NONBLOCK) that the switch copies from the
@@ -175,6 +175,11 @@ class SocketRecord:
     def add_option(self, ev: OptionEvent):
         if self.status is not SocketStatus.TRACKABLE:
             return False
+        if len(self.options) >= MAX_OPTIONS:
+            # a socket that keeps setting options (a connected one toggling
+            # TCP_CORK) is not replayed: the record stays bounded
+            self.transition(SocketStatus.NON_SWITCHABLE)
+            return False
         self.options.append(ev)
         return True
 
@@ -195,32 +200,23 @@ class SocketRegistry:
             return self._records.get((pid, fd))
 
     def ensure_registered(self, pid, fd, mem):
-        """Return the record for (pid, fd), probing the fd on first sight.
-
-        A record whose socket the fd no longer holds (closed and the number
-        reused, or another fd dup2'd over it) is dropped through on_close
-        and the fd is taken as a first sight.  A first sight is trackable
-        if ``switchable`` holds for the fd, and non-switchable otherwise,
-        including when the fd cannot be duplicated: a probe failure never
-        errors the intercepted syscall.
-        """
+        """Return the record for (pid, fd), or None if the fd holds no
+        socket.  A configuration call names the fd, and the one
+        ``mem.fd_inode`` readlink identifies it: nothing is duplicated or
+        probed, since connect and bind decide from the live socket.  A
+        record whose socket the fd no longer holds is dropped through
+        on_close; a socket seen first gets a TRACKABLE record."""
+        inode = mem.fd_inode(pid, fd)
         with self._lock:
-            rec = self.lookup(pid, fd, mem)
+            rec = self._records.get((pid, fd))
             if rec is not None:
-                return rec
-            rec = SocketRecord(pid=pid, fd=fd)
-            try:
-                dup = mem.acquire_fd(pid, fd)
-            except FdNotAvailable as e:
-                log.debug("probe of (%d,%d) failed: %s", pid, fd, e)
-                rec.transition(SocketStatus.NON_SWITCHABLE)
-            else:
-                try:
-                    rec.inode = socket_inode(dup.local_fd)
-                    rec.transition(SocketStatus.TRACKABLE if switchable(dup)
-                                   else SocketStatus.NON_SWITCHABLE)
-                finally:
-                    dup.close()
+                if rec.inode == inode:
+                    return rec
+                self.on_close(pid, fd)
+            if inode is None:
+                return None
+            rec = SocketRecord(pid=pid, fd=fd, inode=inode)
+            rec.transition(SocketStatus.TRACKABLE)
             self._records[(pid, fd)] = rec
             return rec
 
@@ -245,12 +241,11 @@ class SocketRegistry:
             return rec.add_option(ev)
 
     def mark_non_switchable(self, rec):
-        """Mark ``rec`` non-switchable and keep it: the live socket cannot
-        tell."""
+        """Mark ``rec``, a stored record, non-switchable: the live socket
+        cannot tell."""
         with self._lock:
             if rec.status is SocketStatus.TRACKABLE:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
-            self._records.setdefault((rec.pid, rec.fd), rec)
 
     def mark_switched(self, rec, spoofed_peer=None, inode=None):
         """``inode`` is the injected host socket's: the fd holds it now.

@@ -150,7 +150,7 @@ class SupervisorInstance:
         path (and, post-switch, the continued call configures the host
         socket directly)."""
         rec = self.registry.ensure_registered(event.pid, event.fd_arg, self.mem)
-        if rec.status is SocketStatus.TRACKABLE:
+        if rec is not None and rec.status is SocketStatus.TRACKABLE:
             try:
                 self._record_configuration(event, name, rec)
             except (MemFault, TargetGone) as e:

@@ -67,6 +67,14 @@ class FakeMem:
         return dup
 
     def fd_inode(self, pid, fd):
+        """The inode last duplicated from (pid, fd); an fd not yet seen is
+        read once through ``fd_probe``, the duplicate closed at once.  None
+        if it is not a socket or cannot be read, as from /proc."""
+        if (pid, fd) not in self.inodes and self.fd_probe is not None:
+            try:
+                self.acquire_fd(pid, fd).close()
+            except FdNotAvailable:
+                return None
         return self.inodes.get((pid, fd))
 
     def fd_flags(self, pid, fd):

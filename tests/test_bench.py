@@ -1,13 +1,16 @@
-"""Benchmark harness: configuration guards, digest discipline, switch
-guard, and report shape (small payloads; the performance comparison itself
-lives in the acceptance suite)."""
+"""Benchmark harness: configuration guards, the sink's check of every
+stream against the pattern, switch guard, and report shape (small
+payloads; the performance comparison itself lives in the acceptance
+suite)."""
 
 import json
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,11 +19,11 @@ from b4ns.bench import (
     BenchConfig,
     BenchResult,
     MODES,
-    pattern_digest,
     report,
     run_mode,
 )
 from b4ns.errors import SetupFailed, SwitchDidNotHappen
+from b4ns.target_shim import BLOCK
 
 SMALL = {"payload_bytes": 1 << 20, "parallel_streams": 1}
 
@@ -49,26 +52,68 @@ class TestConfig:
             BenchConfig(payload_bytes=1 << 20, mode="turbo")
 
 
-class TestPatternDigest:
-    def test_matches_shim_block_stream(self):
-        import hashlib
+def pattern(nbytes):
+    """The first ``nbytes`` of the shim's ``send_pattern`` stream."""
+    return (BLOCK * (nbytes // len(BLOCK) + 1))[:nbytes]
 
-        from b4ns.target_shim import BLOCK
 
-        h = hashlib.blake2b(digest_size=16)
-        h.update(BLOCK[:1000])
-        assert pattern_digest(1000) == h.hexdigest()
+class TestPatternSink:
+    """Each stream is checked block by block as it arrives; one wrong byte
+    or a wrong length discards the run."""
 
-    def test_spans_block_boundary(self):
-        import hashlib
+    # two full blocks and a partial third
+    PAYLOAD = 2 * len(BLOCK) + 17
 
-        from b4ns.target_shim import BLOCK
+    def _result(self, stream):
+        cfg = BenchConfig(payload_bytes=self.PAYLOAD)
+        sink = bench._PatternSink(1, self.PAYLOAD)
+        try:
+            with socket.create_connection(("127.0.0.1", sink.port)) as c:
+                c.sendall(stream)
+            sink.wait(10.0)
+        finally:
+            sink.close()
+        return bench._throughput_result("direct", cfg, sink, 0.0, 1.0)
 
-        n = len(BLOCK) + 17
-        h = hashlib.blake2b(digest_size=16)
-        h.update(BLOCK)
-        h.update(BLOCK[:17])
-        assert pattern_digest(n) == h.hexdigest()
+    def test_exact_pattern_passes(self):
+        r = self._result(pattern(self.PAYLOAD))
+        assert r.digest_ok
+        assert r.per_stream_bps and r.throughput_bps > 0
+
+    @pytest.mark.parametrize("offset", [len(BLOCK) + 5, 2 * len(BLOCK) + 16])
+    def test_flipped_byte_in_a_later_block_fails(self, offset):
+        stream = bytearray(pattern(self.PAYLOAD))
+        stream[offset] ^= 0xFF
+        with pytest.raises(SetupFailed, match="does not match"):
+            self._result(bytes(stream))
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_fails(self, delta):
+        with pytest.raises(SetupFailed, match="does not match"):
+            self._result(pattern(self.PAYLOAD + delta))
+
+    def test_missing_stream_fails(self):
+        cfg = BenchConfig(payload_bytes=2 << 20, parallel_streams=2)
+        sink = bench._PatternSink(2, 1 << 20)
+        try:
+            with socket.create_connection(("127.0.0.1", sink.port)) as c:
+                c.sendall(pattern(1 << 20))
+            sink.wait(0.5)
+        finally:
+            sink.close()
+        with pytest.raises(SetupFailed):
+            bench._throughput_result("direct", cfg, sink, 0.0, 1.0)
+
+    def test_memory_stays_bounded(self):
+        """The sink holds one block per stream, not the stream."""
+        tracemalloc.start()
+        try:
+            r = run_mode("direct", {"payload_bytes": 64 << 20})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.digest_ok
+        assert peak < 8 << 20
 
 
 class TestModes:

@@ -115,6 +115,20 @@ class TestLifecycle:
         assert isinstance(payload, list)
 
 
+class TestApiServer:
+    def test_stop_returns_at_once(self, tmp_path):
+        daemon = Daemon(node_id="test-node")
+        srv = serve_api(daemon, str(tmp_path / "api.sock"))
+        try:
+            assert DaemonClient(str(tmp_path / "api.sock")).status() == (200, [])
+            t0 = time.monotonic()
+            srv.shutdown()
+            # not after serve_forever's next 0.5 s poll
+            assert time.monotonic() - t0 < 0.1
+        finally:
+            daemon.shutdown()
+
+
 class TestApiErrors:
     def test_duplicate_container_conflicts(self, tmp_path, api):
         daemon, client = api

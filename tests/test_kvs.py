@@ -108,6 +108,15 @@ class TestHttpKvs:
         client.delete(KEY_PREFIX + "10.4.0.3:80")
         assert client.get(KEY_PREFIX + "10.4.0.3:80") is None
 
+    def test_stop_returns_at_once(self, tmp_path):
+        srv = serve_kvs(FileKvs(tmp_path / "store"))
+        host, port = srv.server_address
+        assert HttpKvs(f"http://{host}:{port}").get("k") is None  # serving
+        t0 = time.monotonic()
+        srv.shutdown()
+        # not after serve_forever's next 0.5 s poll
+        assert time.monotonic() - t0 < 0.1
+
     def test_unreachable_endpoint_raises(self):
         client = HttpKvs("http://127.0.0.1:1", timeout=0.3)
         with pytest.raises(KvsUnavailable):

@@ -82,6 +82,10 @@ class TestOptionRecording:
 
 
 class TestEnsureRegistered:
+    """A configuration call names the fd: a socket gets a TRACKABLE record
+    at once, with no probe, and any other fd gets none.  Whether a socket
+    can be switched is read from the live socket at connect and bind."""
+
     def _registry_with_probe(self, probe):
         mem = FakeMem()
         mem.fd_probe = probe
@@ -102,8 +106,8 @@ class TestEnsureRegistered:
         try:
             reg, mem = self._registry_with_probe(
                 lambda pid, fd: RemoteFd(pid, fd, os_dup_fd(f.fileno())))
-            rec = reg.ensure_registered(1, 3, mem)
-            assert rec.status is SocketStatus.NON_SWITCHABLE
+            assert reg.ensure_registered(1, 3, mem) is None
+            assert reg.snapshot() == []
         finally:
             f.close()
 
@@ -113,7 +117,8 @@ class TestEnsureRegistered:
             reg, mem = self._registry_with_probe(
                 lambda pid, fd: RemoteFd(pid, fd, os_dup(s)))
             rec = reg.ensure_registered(1, 3, mem)
-            assert rec.status is SocketStatus.NON_SWITCHABLE
+            assert rec.status is SocketStatus.TRACKABLE
+            assert not live_switchable(s)
         finally:
             s.close()
 
@@ -128,19 +133,21 @@ class TestEnsureRegistered:
             reg, mem = self._registry_with_probe(
                 lambda pid, fd: RemoteFd(pid, fd, os_dup(cli)))
             rec = reg.ensure_registered(1, 3, mem)
-            assert rec.status is SocketStatus.NON_SWITCHABLE
+            assert rec.status is SocketStatus.TRACKABLE
+            assert not live_switchable(cli)
         finally:
             for s in (acc, cli, srv):
                 s.close()
 
     def test_unix_stream_socket_is_non_switchable(self):
-        # not AF_INET: the probe reads the family, not only the type
+        # not AF_INET: the live probe reads the family, not only the type
         a, b = socket.socketpair()
         try:
             reg, mem = self._registry_with_probe(
                 lambda pid, fd: RemoteFd(pid, fd, os_dup(a)))
             rec = reg.ensure_registered(1, 3, mem)
-            assert rec.status is SocketStatus.NON_SWITCHABLE
+            assert rec.status is SocketStatus.TRACKABLE
+            assert not live_switchable(a)
         finally:
             a.close()
             b.close()
@@ -150,8 +157,8 @@ class TestEnsureRegistered:
             raise FdNotAvailable("gone")
 
         reg, mem = self._registry_with_probe(probe)
-        rec = reg.ensure_registered(1, 3, mem)
-        assert rec.status is SocketStatus.NON_SWITCHABLE
+        assert reg.ensure_registered(1, 3, mem) is None
+        assert reg.snapshot() == []
 
     def test_second_lookup_does_not_reprobe(self):
         calls = []
@@ -205,23 +212,20 @@ class TestFdReuse:
         finally:
             srv.close()
 
-    def test_non_socket_never_matches_a_socket(self, tmp_path):
+    def test_non_socket_never_matches_a_socket(self):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            with open(tmp_path / "f", "w") as f:
-                mem = FakeMem()
-                mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
-                reg = SocketRegistry()
-                rec = reg.ensure_registered(1, 3, mem)
-                mem.inodes[(1, 3)] = None  # the number now holds a file
-                assert reg.lookup(1, 3, mem) is None
-                mem.fd_probe = lambda pid, fd: RemoteFd(
-                    pid, fd, os_dup_fd(f.fileno()))
-                file_rec = reg.ensure_registered(1, 3, mem)
-                assert file_rec is not rec and file_rec.inode is None
-                assert file_rec.status is SocketStatus.NON_SWITCHABLE
-                mem.inodes[(1, 3)] = rec.inode  # a socket again
-                assert reg.lookup(1, 3, mem) is None
+            mem = FakeMem()
+            mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
+            reg = SocketRegistry()
+            rec = reg.ensure_registered(1, 3, mem)
+            mem.inodes[(1, 3)] = None  # the number now holds a file
+            assert reg.lookup(1, 3, mem) is None
+            # a file gets no record of its own
+            assert reg.ensure_registered(1, 3, mem) is None
+            assert reg.get(1, 3) is None
+            mem.inodes[(1, 3)] = rec.inode  # a socket again
+            assert reg.lookup(1, 3, mem) is None
         finally:
             srv.close()
 
@@ -277,31 +281,24 @@ class TestFdReuse:
 
 
 class TestSwitchable:
-    def _switchable(self, sock):
-        dup = RemoteFd(1, 3, os_dup(sock))
-        try:
-            return switchable(dup)
-        finally:
-            dup.close()
-
     def test_fresh_tcp_socket(self):
         with socket.socket() as s:
-            assert self._switchable(s)
+            assert live_switchable(s)
 
     def test_inet6_socket(self):
         with socket.socket(socket.AF_INET6) as s:
-            assert not self._switchable(s)
+            assert not live_switchable(s)
 
     def test_bound_socket(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
-            assert not self._switchable(s)
+            assert not live_switchable(s)
 
     def test_listening_socket(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             s.listen(1)
-            assert not self._switchable(s)
+            assert not live_switchable(s)
 
     def test_non_socket(self, tmp_path):
         with open(tmp_path / "f", "w") as f:
@@ -337,9 +334,12 @@ class TestKeptRecords:
         assert reg.get(1, 3) is rec
 
     def test_non_switchable_mark_is_kept(self):
-        reg = SocketRegistry()
-        rec = trackable()
-        reg.mark_non_switchable(rec)
+        with socket.socket() as srv:
+            mem = FakeMem()
+            mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
+            reg = SocketRegistry()
+            rec = reg.ensure_registered(1, 3, mem)
+            reg.mark_non_switchable(rec)
         assert reg.get(1, 3) is rec
         assert rec.status is SocketStatus.NON_SWITCHABLE
 
@@ -437,6 +437,15 @@ def test_transition_sequences_never_corrupt_state(seq):
             with pytest.raises(IllegalTransition):
                 rec.transition(target)
             assert rec.status is before
+
+
+def live_switchable(sock):
+    """``switchable`` on a duplicate of ``sock``, as a connect probes it."""
+    dup = RemoteFd(1, 3, os_dup(sock))
+    try:
+        return switchable(dup)
+    finally:
+        dup.close()
 
 
 def os_dup(sock):

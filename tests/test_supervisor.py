@@ -4,9 +4,11 @@ arch it belongs to, and what a connect reads and keeps."""
 
 import os
 import socket
+import struct
+import termios
 
 from b4ns.engine import NetEnvironment
-from b4ns.registry import SocketRegistry, SocketStatus
+from b4ns.registry import MAX_OPTIONS, SocketRegistry, SocketStatus
 from b4ns.sockaddr import pack_sockaddr_in
 from b4ns.supervisor import SupervisorInstance
 from b4ns.sysnr import NR
@@ -92,6 +94,54 @@ class TestStatusCalls:
             srv.close()
         assert sup.registry.get(1000, 3) is None
         assert sup.chan.last_response().kind == "continue"
+
+
+def no_duplicate(pid, fd):
+    raise AssertionError("a configuration call took a duplicate")
+
+
+class TestConfiguration:
+    """A setsockopt or ioctl is identified by the one fd_inode readlink:
+    no duplicate, no probe, and no record for anything but a socket."""
+
+    def test_ioctl_on_non_socket_leaves_no_record_and_no_duplicate(self):
+        sup, srv = supervisor()
+        srv.close()
+        sup.mem.fd_inode = lambda pid, fd: None  # /proc names no socket
+        sup.mem.acquire_fd = no_duplicate
+        sup._dispatch(make_event(cookie=4, nr=NR["ioctl"],
+                                 args=(3, termios.TCSETS, 0)))
+        assert sup.registry.snapshot() == []
+        assert sup.chan.last_response().kind == "continue"
+        assert sup.audit == [(4, "ioctl", "continue")]
+
+    def test_setsockopt_on_socket_records_without_a_duplicate(self):
+        sup, srv = supervisor()
+        with srv:
+            sup.mem.fd_inode = lambda pid, fd: os.fstat(srv.fileno()).st_ino
+            sup.mem.acquire_fd = no_duplicate
+            sup._dispatch(cork_event(sup))
+        rec = sup.registry.get(1000, 3)
+        assert rec.status is SocketStatus.TRACKABLE
+        assert len(rec.options) == 1
+        assert sup.chan.last_response().kind == "continue"
+
+    def test_option_toggles_leave_at_most_the_cap(self):
+        sup, srv = supervisor()
+        with srv:
+            for cookie in range(200):
+                sup._dispatch(cork_event(sup, cookie, on=cookie % 2))
+        rec = sup.registry.get(1000, 3)
+        assert len(rec.options) <= MAX_OPTIONS
+        assert rec.status is SocketStatus.NON_SWITCHABLE
+        assert [r.kind for _, r in sup.chan.responses] == ["continue"] * 200
+
+
+def cork_event(sup, cookie=1, on=1):
+    """setsockopt(3, IPPROTO_TCP, TCP_CORK, &on, 4)."""
+    ptr = sup.mem.place(1000, 0x80, struct.pack("i", on))
+    return make_event(cookie=cookie, nr=NR["setsockopt"],
+                      args=(3, socket.IPPROTO_TCP, socket.TCP_CORK, ptr, 4))
 
 
 class TestConnection:

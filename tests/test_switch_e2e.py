@@ -12,15 +12,17 @@ import os
 import socket
 import sys
 import termios
+import threading
 import time
 
 import pytest
 
+from b4ns import cli
 from b4ns.engine import NetEnvironment, PublishMapping
 from b4ns.errors import ReplayFailed
 from b4ns.sysnr import NR
 
-from conftest import run_control, supervise
+from conftest import ShimRun, launch_shim, run_control, supervise
 
 
 def echo_script(host, port, nbytes=1 << 20, extra_pre=(), extra_post=()):
@@ -58,6 +60,33 @@ class TestConnectSwitch:
         assert run.sup.counters.sockets_switched == 2
         # both records evicted on close: nothing lingers
         assert run.sup.registry.snapshot() == []
+
+
+class TestAttachCommand:
+    def test_attach_switches_and_reports(self, tmp_path, echo_server, capsys):
+        """``b4ns attach`` supervises one target until it exits, then prints
+        its counters as the last stdout line."""
+        handoff = tmp_path / "attach.sock"
+        rc = []
+        attach = threading.Thread(target=lambda: rc.append(cli.main_b4ns(
+            ["attach", "--handoff", str(handoff), "--allow-host-loopback"])),
+            daemon=True)
+        attach.start()
+        run = ShimRun(launch_shim(
+            tmp_path, echo_script(echo_server.host, echo_server.port, 4096),
+            handoff=handoff))
+        try:
+            run.wait()
+        finally:
+            run.kill()
+            attach.join(10)
+        assert run.result("connect")["ok"]
+        rt = run.result("echo_roundtrip")
+        assert rt["sent_digest"] == rt["recv_digest"]
+        assert echo_server.connections == 1
+        assert rc == [0]
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert json.loads(last)["sockets_switched"] == 1
 
 
 class TestSwitchedSocketLifetime:
