@@ -5,7 +5,7 @@ Subpackages of note:
 
 - ``notify``      seccomp notification channel (events, responses, fd injection)
 - ``targetmem``   remote process memory access and fd acquisition
-- ``registry``    per-(pid, fd) socket state machine and syscall classifier
+- ``registry``    per-(process, fd) socket state machine and syscall classifier
 - ``engine``      switch/ignore/rewrite decisions and switch execution
 - ``probe``       in-namespace connectivity probe agents
 - ``kvs``         multi-node published-port mapping store and cache

@@ -38,6 +38,7 @@ def main_daemon(argv=None):
     signal.signal(signal.SIGINT, lambda *a: stop.set())
     stop.wait()
     srv.shutdown()
+    srv.server_close()
     d.shutdown()
     return 0
 

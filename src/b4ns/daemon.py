@@ -290,6 +290,11 @@ class _UnixHTTPServer(kvs_mod.PromptShutdown,
         request, _ = super().get_request()
         return request, ("local", 0)
 
+    def server_close(self):
+        """Also remove the socket's path, which socketserver leaves."""
+        super().server_close()
+        os.unlink(self.server_address)
+
 
 def serve_api(daemon: Daemon, api_socket_path):
     """Expose the daemon on its management socket; returns the server."""

@@ -145,9 +145,10 @@ class NotificationChannel:
             self._poll.unregister(pidfd)
 
     def _exited(self, pidfd):
-        callback = self._watched[pidfd]
-        self.unwatch(pidfd)
-        callback()
+        callback = self._watched.get(pidfd)  # an earlier one may unwatch it
+        if callback is not None:
+            self.unwatch(pidfd)
+            callback()
 
     def _all_exited(self):
         # the notify fd hangs up before the exiting tasks' pidfds turn
@@ -168,10 +169,10 @@ class NotificationChannel:
             for fd, revents in ready:
                 if fd == self.fd:
                     flags = revents
-                elif fd in self._watched:
-                    self._exited(fd)
-                else:
+                elif fd == self._wake_fd:
                     woken = 1
+                else:
+                    self._exited(fd)
             if woken:
                 raise ChannelClosed("channel woken to stop")
             if not flags:

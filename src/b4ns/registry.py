@@ -1,4 +1,4 @@
-"""Per-(pid, fd) socket registry, the switchability probe and the
+"""Per-(process, fd) socket registry, the switchability probe and the
 seven-class syscall taxonomy.
 
 Whether a socket can be switched is read from the live socket (``switchable``)

@@ -100,8 +100,8 @@ class SupervisorInstance:
                 self.counters.events_handled += 1
                 try:
                     self._dispatch(event)
-                except StaleCookie as e:
-                    log.warning("stale cookie mid-handling: %s", e)
+                except (StaleCookie, TargetGone) as e:
+                    log.warning("notification gone, not answered: %s", e)
                 except Exception:
                     log.exception("handler error; continuing target syscall")
                     try:
@@ -135,7 +135,9 @@ class SupervisorInstance:
             self.chan.respond(event, Response.cont())
             return
         name, handler = entry
-        handler(event, name)
+        # records and memory are per process: handlers get the process's id
+        tgid = self.mem.tgid(event.pid)
+        handler(event if tgid == event.pid else event._replace(pid=tgid), name)
 
     def _on_status(self, event, name):
         self._audit(event, name, "status")

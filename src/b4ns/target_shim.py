@@ -306,31 +306,15 @@ class ScriptRunner:
             os.urandom(8)
         self.emit(op="storm", ok=True)
 
-    def op_threads_connect(self, op):
-        """Concurrent connects from multiple threads, distinct sockets."""
-        results = []
-        lock = threading.Lock()
-
-        def worker(i):
-            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                s.connect((op["host"], op["port"]))
-                s.sendall(b"x")
-                with lock:
-                    results.append({"thread": i, "ok": True})
-            except OSError as e:
-                with lock:
-                    results.append({"thread": i, "ok": False, "err": e.errno})
-            finally:
-                s.close()
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(op.get("count", 2))]
+    def op_threads(self, op):
+        """Run each op list in op["each"] on a thread of its own, all at
+        once, over the shared socket pool; carry on once all have ended."""
+        threads = [threading.Thread(target=self.run, args=(ops,))
+                   for ops in op["each"]]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        self.emit(op="threads_connect", results=sorted(results, key=lambda r: r["thread"]))
 
     def op_fork(self, op):
         """Run op["ops"] in a forked child that exits without closing its

@@ -7,12 +7,14 @@ pidfd per process that also tells when the process exits.  An fd's flags
 and identity are read through the process's /proc/<pid>/fdinfo and
 /proc/<pid>/fd directories, each opened once, and the flags through one
 fdinfo file per process, held open while the same fd number is asked.
+A thread id is mapped to its process through the thread's own pidfd.
 """
 
 import _socket
 import array
 import ctypes
 import errno
+import fcntl
 import functools
 import logging
 import os
@@ -29,6 +31,8 @@ _libc = ctypes.CDLL(None, use_errno=True)
 
 SYS_pidfd_open = 434
 SYS_pidfd_getfd = 438
+PIDFD_THREAD = os.O_EXCL
+PIDFD_GET_INFO = 0xC040FF0B  # _IOWR(0xFF, 11, struct pidfd_info), 64 bytes
 
 MAX_RW = 4096  # sockaddr-scale transfers only
 
@@ -99,31 +103,24 @@ def open_mem(pid):
     return MemHandle(pid, fd, source="direct")
 
 
-def _tgid_of(pid):
-    """Thread-group leader of pid (pid itself if already the leader)."""
-    try:
-        with open(f"/proc/{pid}/status") as f:
-            for line in f:
-                if line.startswith("Tgid:"):
-                    return int(line.split()[1])
-    except (FileNotFoundError, ProcessLookupError):
-        raise TargetGone(f"pid {pid} exited")
-    return pid
-
-
-def _pidfd_open(pid):
-    fd = _libc.syscall(SYS_pidfd_open, pid, 0)
+def _pidfd_open(pid, flags=0):
+    fd = _libc.syscall(SYS_pidfd_open, pid, flags)
     if fd < 0:
         e = ctypes.get_errno()
         if e == errno.ESRCH:
             raise TargetGone(f"pid {pid} exited")
-        # notifications carry thread ids; pidfd_open wants the group leader
-        # (threads share one fd table, so the leader's pidfd is equivalent)
-        tgid = _tgid_of(pid)
-        if tgid != pid:
-            return _pidfd_open(tgid)
         raise OSError(e, "pidfd_open")
     return fd
+
+
+def _pidfd_tgid(pidfd):
+    """Thread-group id of the task ``pidfd`` pins, not of a reused id."""
+    info = bytearray(64)  # struct pidfd_info: mask, cgroupid, pid, tgid, ...
+    try:
+        fcntl.ioctl(pidfd, PIDFD_GET_INFO, info)
+    except ProcessLookupError:
+        raise TargetGone("thread exited")
+    return struct.unpack_from("<I", info, 20)[0]
 
 
 @dataclass
@@ -236,55 +233,98 @@ def open_mem_via_agent(pid, spawn=None):
         sup.close()
 
 
+@dataclass(eq=False)
+class _Process:
+    """One supervised process (thread group), as the memory service holds
+    it; all but the pidfds are opened when first needed."""
+
+    tgid: int
+    pidfd: int
+    threads: dict = field(default_factory=dict)  # tid -> its thread pidfd
+    mem: object = None  # MemHandle
+    dirs: tuple = ()  # /proc/<tgid>/fd and /proc/<tgid>/fdinfo
+    fdinfo: tuple = ()  # (fd number, open /proc/<tgid>/fdinfo/<fd>)
+
+
 class MemService:
-    """Per-target memory handles, pidfds and /proc directory fds, with lazy
-    agent fallback.
+    """Per-process memory handles, pidfds and /proc directory fds, with
+    lazy agent fallback.  A ``pid`` argument may name any thread.
 
     With ``chan``, every pidfd opened is watched in the channel's poll: when
-    its process exits, ``on_exit(pid)`` runs and the pid is forgotten.
+    a process exits, ``on_exit(tgid)`` runs and the process is forgotten;
+    when another of its threads exits, that thread's pidfd and id go.
     """
 
     def __init__(self, chan=None, on_exit=None):
-        self._handles = {}
-        self.pidfd_cache = {}
-        self._dirs = {}  # pid -> (/proc/pid/fd, /proc/pid/fdinfo) fds
-        self._fdinfo = {}  # pid -> (fd, open /proc/pid/fdinfo/<fd>)
+        self._procs = {}  # tgid -> _Process
+        self._by_tid = {}  # tid -> _Process, for each live thread seen
         self._chan = chan
         self._on_exit = on_exit
 
-    def _pidfd(self, pid):
-        pidfd = self.pidfd_cache.get(pid)
-        if pidfd is None:
-            pidfd = _pidfd_open(pid)
-            self.pidfd_cache[pid] = pidfd
-            if self._chan is not None:
-                self._chan.watch(pidfd, functools.partial(self._exited, pid))
-        return pidfd
+    @property
+    def pidfd_cache(self):
+        return {tgid: proc.pidfd for tgid, proc in self._procs.items()}
 
-    def _exited(self, pid):
+    def process(self, tid):
+        """The process thread ``tid`` belongs to: one dict hit for a thread
+        seen before.  A new one costs a PIDFD_THREAD pidfd and the
+        thread-group id read through it.  TargetGone if it has exited."""
+        proc = self._by_tid.get(tid)
+        if proc is not None:
+            return proc
+        pidfd = _pidfd_open(tid, PIDFD_THREAD)
+        try:
+            tgid = _pidfd_tgid(pidfd)
+            proc = self._procs.get(tgid)
+            if proc is None:
+                proc = _Process(tgid, _pidfd_open(tgid))
+                self._procs[tgid] = self._by_tid[tgid] = proc
+                self._watch(proc.pidfd, functools.partial(self._exited, proc))
+        except BaseException:
+            os.close(pidfd)
+            raise
+        if tid == tgid:
+            os.close(pidfd)  # the process's own pidfd tells when it exits
+        else:
+            proc.threads[tid] = pidfd
+            self._by_tid[tid] = proc
+            self._watch(pidfd, functools.partial(self._thread_exited, proc,
+                                                 tid))
+        return proc
+
+    def tgid(self, tid):
+        return self.process(tid).tgid
+
+    def _watch(self, pidfd, callback):
+        if self._chan is not None:
+            self._chan.watch(pidfd, callback)
+
+    def _thread_exited(self, proc, tid):
+        del self._by_tid[tid]
+        os.close(proc.threads.pop(tid))
+
+    def _exited(self, proc):
         if self._on_exit is not None:
-            self._on_exit(pid)
-        self.forget(pid)
+            self._on_exit(proc.tgid)
+        self.forget(proc.tgid)
 
     def handle(self, pid):
-        h = self._handles.get(pid)
-        if h is not None:
-            return h
-        self._pidfd(pid)  # watched, so the handle goes when the process does
-        try:
-            h = open_mem(pid)
-        except PermissionError:
-            log.info("direct memory open denied for pid %d; using agent", pid)
-            h = open_mem_via_agent(pid)
-        self._handles[pid] = h
-        return h
+        proc = self.process(pid)
+        if proc.mem is None:
+            try:
+                proc.mem = open_mem(proc.tgid)
+            except PermissionError:
+                log.info("direct memory open denied for pid %d; using agent",
+                         proc.tgid)
+                proc.mem = open_mem_via_agent(proc.tgid)
+        return proc.mem
 
     def _reopened(self, pid, h):
         """A fresh handle in place of ``h``: after an execve a handle still
         reaches the address space the process left, and reads come back
         short."""
         h.close()
-        del self._handles[pid]
+        self.process(pid).mem = None
         return self.handle(pid)
 
     def read(self, pid, addr, length):
@@ -301,30 +341,38 @@ class MemService:
         except MemFault:
             self._reopened(pid, h).write(addr, data)
 
-    def _proc_dirs(self, pid):
-        dirs = self._dirs.get(pid)
-        if dirs is None:
-            self._pidfd(pid)  # watched, so the fds go when the process does
+    def _proc_dirs(self, proc):
+        if not proc.dirs:
             dirs = []
             try:
                 for name in ("fd", "fdinfo"):
-                    dirs.append(os.open(f"/proc/{pid}/{name}",
+                    dirs.append(os.open(f"/proc/{proc.tgid}/{name}",
                                         os.O_RDONLY | os.O_DIRECTORY))
             except OSError:
                 for d in dirs:
                     os.close(d)
-                raise TargetGone(f"pid {pid} exited")
-            dirs = self._dirs[pid] = tuple(dirs)
-        return dirs
+                raise TargetGone(f"pid {proc.tgid} exited")
+            proc.dirs = tuple(dirs)
+        return proc.dirs
 
     def fd_flags(self, pid, fd):
         """Open flags of the target's fd, O_CLOEXEC included when
         close-on-exec is set on it, as /proc/<pid>/fdinfo/<fd> reports
-        them."""
-        held = self._fdinfo.get(pid)
-        if held is None or held[0] != fd:
-            held = self._hold_fdinfo(pid, fd)
+        them.  The process holds one such file, for the last fd number
+        read.  The kernel looks the fd up by number at every read of the
+        file (seq_show in fs/proc/fd.c), so one open handle follows the
+        number through close and reuse: a read gives ENOENT while no file
+        is open under it, and the flags of whatever file is open under it
+        otherwise."""
+        proc = self.process(pid)
+        held = proc.fdinfo
         try:
+            if held[:1] != (fd,):
+                proc.fdinfo = ()
+                if held:
+                    os.close(held[1])
+                held = proc.fdinfo = (fd, os.open(
+                    str(fd), os.O_RDONLY, dir_fd=self._proc_dirs(proc)[1]))
             # raw os calls: a text-mode read costs several times as much,
             # and this runs once per switched connect
             text = os.pread(held[1], 256, 0)
@@ -332,32 +380,13 @@ class MemService:
             raise TargetGone(f"fd {fd} of pid {pid} is gone")
         return int(text.split(b"\nflags:", 1)[1].split(None, 1)[0], 8)
 
-    def _hold_fdinfo(self, pid, fd):
-        """Open /proc/<pid>/fdinfo/<fd> in place of the one held for the
-        process's previous fd.  The kernel looks the fd up by number at
-        every read of the file (seq_show in fs/proc/fd.c), so one open
-        handle follows the number through close and reuse: a read gives
-        ENOENT while no file is open under it, and the flags of whatever
-        file is open under it otherwise."""
-        self._drop_fdinfo(pid)
-        try:
-            h = os.open(str(fd), os.O_RDONLY, dir_fd=self._proc_dirs(pid)[1])
-        except (FileNotFoundError, ProcessLookupError):
-            raise TargetGone(f"fd {fd} of pid {pid} is gone")
-        held = self._fdinfo[pid] = (fd, h)
-        return held
-
-    def _drop_fdinfo(self, pid):
-        held = self._fdinfo.pop(pid, None)
-        if held is not None:
-            os.close(held[1])
-
     def fd_inode(self, pid, fd):
         """Inode of the socket the target's fd refers to, as the link
         /proc/<pid>/fd/<fd> names it; None if the fd is not open or not a
         socket."""
         try:
-            link = os.readlink(str(fd), dir_fd=self._proc_dirs(pid)[0])
+            link = os.readlink(str(fd),
+                               dir_fd=self._proc_dirs(self.process(pid))[0])
         except (OSError, TargetGone):
             return None
         return int(link[8:-1]) if link.startswith("socket:[") else None
@@ -369,27 +398,23 @@ class MemService:
         fd non-switchable instead.
         """
         try:
-            pidfd = self._pidfd(pid)
+            pidfd = self.process(pid).pidfd
         except TargetGone:
             raise FdNotAvailable(f"pid {pid} exited")
         return _getfd(pidfd, pid, remote_fd)
 
-    def forget(self, pid):
-        h = self._handles.pop(pid, None)
-        if h is not None:
-            h.close()
-        self._drop_fdinfo(pid)
-        for d in self._dirs.pop(pid, ()):
-            os.close(d)
-        pidfd = self.pidfd_cache.pop(pid, None)
-        if pidfd is not None:
+    def forget(self, tgid):
+        proc = self._procs.pop(tgid)
+        for tid in (tgid, *proc.threads):
+            del self._by_tid[tid]
+        if proc.mem is not None:
+            proc.mem.close()
+        for fd in (proc.pidfd, *proc.threads.values(), *proc.dirs,
+                   *proc.fdinfo[1:]):
             if self._chan is not None:
-                self._chan.unwatch(pidfd)
-            try:
-                os.close(pidfd)
-            except OSError:
-                pass
+                self._chan.unwatch(fd)  # a pidfd; nothing for the others
+            os.close(fd)
 
     def close(self):
-        for pid in set(self._handles) | set(self.pidfd_cache):
-            self.forget(pid)
+        for tgid in list(self._procs):
+            self.forget(tgid)

@@ -77,6 +77,10 @@ class FakeMem:
                 return None
         return self.inodes.get((pid, fd))
 
+    def tgid(self, pid):
+        """Each fake pid is a process of one thread."""
+        return pid
+
     def fd_flags(self, pid, fd):
         """A fresh socket's flags: read-write, close-on-exec."""
         return os.O_RDWR | os.O_CLOEXEC

@@ -1,11 +1,12 @@
 """Daemon lifecycle and its management API over the unix socket."""
 
+import signal
 import threading
 import time
 
 import pytest
 
-from b4ns import notify
+from b4ns import cli, notify
 from b4ns.daemon import (
     ContainerSpec,
     Daemon,
@@ -26,6 +27,7 @@ def api(tmp_path):
     client = DaemonClient(str(tmp_path / "api.sock"))
     yield daemon, client
     srv.shutdown()
+    srv.server_close()
     daemon.shutdown()
 
 
@@ -127,6 +129,38 @@ class TestApiServer:
             assert time.monotonic() - t0 < 0.1
         finally:
             daemon.shutdown()
+
+    def test_exit_closes_and_removes_the_socket(self, tmp_path, monkeypatch):
+        """b4nsd's exit path closes the listening socket and removes its
+        path; SIGTERM is delivered by calling the handler it installs."""
+        path = tmp_path / "api.sock"
+        servers, handlers = [], {}
+
+        def recording_serve_api(daemon, api_socket_path):
+            servers.append(serve_api(daemon, api_socket_path))
+            return servers[0]
+
+        monkeypatch.setattr("b4ns.daemon.serve_api", recording_serve_api)
+        monkeypatch.setattr(signal, "signal",
+                            lambda sig, handler: handlers.update({sig: handler}))
+
+        def sigterm_once_serving():
+            try:
+                deadline = time.monotonic() + 10
+                while (signal.SIGTERM not in handlers
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert DaemonClient(str(path)).status() == (200, [])
+            finally:
+                handlers[signal.SIGTERM](signal.SIGTERM, None)
+
+        sender = threading.Thread(target=sigterm_once_serving, daemon=True)
+        sender.start()
+        assert cli.main_daemon(["--api-socket", str(path)]) == 0
+        sender.join(5)
+        assert not sender.is_alive()
+        assert not path.exists()
+        assert servers[0].socket.fileno() == -1
 
 
 class TestApiErrors:

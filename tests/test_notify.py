@@ -225,6 +225,31 @@ class TestNextEvent:
             os.close(pr)
             os.close(pw)
 
+    @pytest.mark.parametrize("end", ["ready", "hangup"])
+    def test_a_callback_may_unwatch_another_pending_fd(self, end):
+        # a process's exit callback drops its threads' pidfds, which may be
+        # ready in the same poll, or pending when the notify fd hangs up
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        fds = [os.eventfd(1 if end == "ready" else 0) for _ in range(2)]
+        ran = []
+        for mine, other in (fds, fds[::-1]):
+            chan.watch(mine, lambda m=mine, o=other: (ran.append(m),
+                                                      chan.unwatch(o)))
+        if end == "hangup":
+            os.close(w)
+        try:
+            with pytest.raises(TimeoutError if end == "ready"
+                               else ChannelClosed):
+                chan.next_event(timeout=0.1)
+            assert len(ran) == 1
+        finally:
+            chan.close()
+            if end == "ready":
+                os.close(w)
+            for fd in fds:
+                os.close(fd)
+
     def test_wake_after_close_is_harmless(self):
         r, w = os.pipe()
         chan = NotificationChannel(r, probe_addfd=False)
@@ -329,12 +354,15 @@ class TestLiveFilter:
 
     def test_concurrent_threads_get_distinct_cookies(self, tmp_path,
                                                      echo_server):
-        script = [{"op": "threads_connect", "host": echo_server.host,
-                   "port": echo_server.port, "count": 4}]
-        run = supervise(tmp_path, script, netns="host", keep_audit=True)
+        each = [[{"op": "socket", "sock": f"s{i}"},
+                 {"op": "connect", "sock": f"s{i}", "host": echo_server.host,
+                  "port": echo_server.port},
+                 {"op": "close", "sock": f"s{i}"}] for i in range(4)]
+        run = supervise(tmp_path, [{"op": "threads", "each": each}],
+                        netns="host", keep_audit=True)
         run.wait()
-        results = run.result("threads_connect")["results"]
-        assert all(r["ok"] for r in results)
+        results = run.results("connect")
+        assert len(results) == 4 and all(r["ok"] for r in results)
         cookies = [c for c, _, _ in run.sup.audit]
         assert len(cookies) == len(set(cookies))
         assert run.sup.counters.sockets_switched == 4

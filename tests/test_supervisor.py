@@ -8,6 +8,7 @@ import struct
 import termios
 
 from b4ns.engine import NetEnvironment
+from b4ns.errors import ChannelClosed, TargetGone
 from b4ns.registry import MAX_OPTIONS, SocketRegistry, SocketStatus
 from b4ns.sockaddr import pack_sockaddr_in
 from b4ns.supervisor import SupervisorInstance
@@ -70,6 +71,38 @@ class TestForeignArch:
             srv.close()
         assert sup.registry.get(1000, 3) is None
         assert sup.audit == [(8, f"nr{NR['read']}", "continue")]
+
+
+class TestThreadIds:
+    """A notification names a thread; its handler sees the process."""
+
+    def test_handler_gets_the_process_id(self):
+        sup, srv = supervisor()
+        sup.mem.tgid = lambda tid: 1000
+        with srv:
+            sup._dispatch(make_event(pid=1001, nr=NR["ioctl"],
+                                     args=(3, termios.TIOCOUTQ, 0)))
+        assert sup.registry.get(1000, 3).status is SocketStatus.NON_SWITCHABLE
+        assert sup.registry.get(1001, 3) is None
+
+    def test_event_of_an_exited_thread_goes_unanswered(self, caplog):
+        sup, srv = supervisor()
+        events = [connect_event(sup)]
+
+        def next_event():
+            if events:
+                return events.pop()
+            raise ChannelClosed("no more events")
+
+        def exited(tid):
+            raise TargetGone(f"thread {tid} exited")
+
+        sup.chan.next_event = next_event
+        sup.mem.tgid = exited
+        with srv:
+            sup.run()
+        assert sup.chan.responses == []
+        assert "handler error" not in caplog.text
 
 
 class TestStatusCalls:

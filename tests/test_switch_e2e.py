@@ -9,7 +9,9 @@ import errno
 import fcntl
 import json
 import os
+import shutil
 import socket
+import subprocess
 import sys
 import termios
 import threading
@@ -140,15 +142,15 @@ class TestSwitchedSocketLifetime:
 
         def state():
             return (len(sup.registry.snapshot()), len(sup.mem.pidfd_cache),
-                    len(sup.mem._handles), len(os.listdir("/proc/self/fd")))
+                    len(os.listdir("/proc/self/fd")))
 
         try:
             assert run.readline()["ok"]
             assert run.readline()["name"] == "before"
             before = state()
-            # the parent's own connect keeps no record, only its pidfd and
-            # memory handle
-            assert before[:3] == (0, 1, 1)
+            # the parent's own connect keeps no record, only its pidfd (and
+            # memory handle, counted with the fds)
+            assert before[:2] == (0, 1)
             run.release_barrier()
             lines = [run.readline() for _ in range(n + 1)]
             assert [l.get("ok") for l in lines[:n]] == [True] * n
@@ -687,3 +689,136 @@ class TestRollback:
         # no half-switched registry state left behind
         for entry in run.sup.registry.snapshot():
             assert entry["status"] != "switched"
+
+
+def on_thread(*ops):
+    """Run ``ops`` on a new thread of the target and wait for it to end."""
+    return {"op": "threads", "each": [list(ops)]}
+
+
+class TestThreadsShareProcessState:
+    """Notifications carry thread ids; what the supervisor holds is per
+    process, and a thread's own pidfd goes when the thread exits."""
+
+    def test_exited_threads_leave_no_state(self, tmp_path):
+        n = 40
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(n + 1)  # never accepted: no fd of ours per connection
+        host, port = srv.getsockname()
+        each = [[{"op": "socket", "sock": f"t{i}"},
+                 {"op": "connect", "sock": f"t{i}", "host": host,
+                  "port": port}] for i in range(n)]
+        script = [{"op": "socket"},
+                  {"op": "connect", "host": host, "port": port},
+                  {"op": "barrier", "name": "before"},
+                  {"op": "threads", "each": each},
+                  {"op": "barrier", "name": "after"}]
+        run = supervise(tmp_path, script)
+        sup = run.sup
+
+        def state():
+            return (len(sup.mem.pidfd_cache), len(os.listdir("/proc/self/fd")))
+
+        try:
+            assert run.readline()["ok"]
+            assert run.readline()["name"] == "before"
+            before = state()
+            assert before[0] == 1
+            run.release_barrier()
+            lines = [run.readline() for _ in range(n + 1)]
+            assert [l.get("ok") for l in lines[:n]] == [True] * n
+            assert lines[n]["name"] == "after"
+            # the target is parked; its threads' exits may still be on
+            # their way to the loop
+            deadline = time.monotonic() + 5
+            while state() != before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert state() == before
+        finally:
+            run.release_barrier()
+            run.wait()
+            srv.close()
+        assert sup.counters.sockets_switched == n + 1
+
+    def test_option_set_on_one_thread_is_replayed_on_another(
+            self, tmp_path, echo_server):
+        script = [{"op": "socket"},
+                  on_thread({"op": "setsockopt", "level": socket.SOL_SOCKET,
+                             "optname": socket.SO_RCVBUF, "value": 50000}),
+                  on_thread({"op": "connect", "host": echo_server.host,
+                             "port": echo_server.port}),
+                  {"op": "getsockopt", "level": socket.SOL_SOCKET,
+                   "optname": socket.SO_RCVBUF},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script)
+        run.wait()
+        assert run.result("connect")["ok"]
+        assert run.sup.counters.sockets_switched == 1
+        assert run.result("getsockopt")["value"] == 100000  # doubled
+
+    def test_rewritten_peer_is_spoofed_on_another_thread(self, tmp_path,
+                                                         echo_server):
+        env = NetEnvironment(
+            container_cidrs=["10.4.0.0/24"], host_loopback_allowed=True,
+            published_ports=[PublishMapping("10.4.0.2", 80, echo_server.host,
+                                            echo_server.port)])
+        script = [{"op": "socket"},
+                  on_thread({"op": "connect", "host": "10.4.0.2",
+                             "port": 80}),
+                  on_thread({"op": "getpeername"}),
+                  {"op": "close"}]
+        run = supervise(tmp_path, script, env=env)
+        run.wait()
+        assert run.result("connect")["ok"]
+        assert run.sup.counters.sockets_switched == 1
+        peer = run.result("getpeername")
+        assert (peer["addr"], peer["port"]) == ("10.4.0.2", 80)
+
+    def test_unlisted_ioctl_on_one_thread_keeps_socket_unswitched(
+            self, tmp_path, echo_server):
+        script = [{"op": "socket"},
+                  on_thread({"op": "ioctl", "request": termios.TIOCOUTQ}),
+                  on_thread({"op": "connect", "host": echo_server.host,
+                             "port": echo_server.port}),
+                  {"op": "close"}]
+        run = supervise(tmp_path, script)
+        run.wait()
+        ctl = run_control(tmp_path, script)
+        assert run.result("ioctl")["ok"]
+        assert run.sup.counters.sockets_switched == 0
+        # the unsupervised outcome: no route out of the empty namespace
+        assert run.result("connect") == ctl.result("connect")
+        assert not ctl.result("connect")["ok"]
+
+
+@pytest.fixture(scope="module")
+def static_client(tmp_path_factory):
+    """tests/static_client.c, built with gcc -static -pthread."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc is absent: the static client cannot be built")
+    binary = tmp_path_factory.mktemp("static") / "static_client"
+    src = os.path.join(os.path.dirname(__file__), "static_client.c")
+    subprocess.run([gcc, "-static", "-pthread", "-O2", "-o", str(binary),
+                    src], check=True, capture_output=True)
+    return binary
+
+
+class TestStaticBinary:
+    """A statically linked program gets a host socket too: the filter and
+    the notifications it raises do not depend on its libc."""
+
+    @pytest.mark.parametrize("mode", ["single", "thread-split"])
+    def test_static_client_is_switched(self, tmp_path, echo_server,
+                                       static_client, mode):
+        argv = [str(static_client), mode, echo_server.host,
+                str(echo_server.port)]
+        run = supervise(tmp_path, [{"op": "exec", "argv": argv}])
+        run.wait()
+        assert run.result("static_client") == {
+            "op": "static_client", "mode": mode, "set_err": 0,
+            "connect_err": 0, "echoed": 25,  # the message and its NUL
+            "nodelay": 1, "rcvbuf": 100000}  # SO_RCVBUF reads back doubled
+        assert run.sup.counters.sockets_switched == 1
+        assert echo_server.connections == 1

@@ -31,6 +31,31 @@ sys.stdout.flush()
 """
 
 
+THREADED_CHILD_SRC = r"""
+import sys, threading
+def run():
+    print(threading.get_native_id(), flush=True)
+    sys.stdin.readline()
+t = threading.Thread(target=run)
+t.start()
+t.join()
+print("joined", flush=True)
+sys.stdin.readline()
+"""
+
+
+@pytest.fixture
+def threaded_child():
+    """A child parked with a second thread; yields (proc, the thread's id).
+    A line on its stdin ends the thread, a second one the process."""
+    proc = subprocess.Popen([sys.executable, "-c", THREADED_CHILD_SRC],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
+    yield proc, int(proc.stdout.readline())
+    proc.kill()
+    proc.communicate()  # and close the pipes
+
+
 @pytest.fixture
 def child():
     proc = subprocess.Popen([sys.executable, "-c", CHILD_SRC],
@@ -191,6 +216,7 @@ class TestMemService:
         chan = NotificationChannel(r, probe_addfd=False)
         exited = []
         svc = MemService(chan, on_exit=exited.append)
+        fds_before = len(os.listdir("/proc/self/fd"))
         try:
             svc.read(proc.pid, addr, 4)
             svc.acquire_fd(proc.pid, sock_fd).close()
@@ -200,7 +226,58 @@ class TestMemService:
             with pytest.raises(TimeoutError):
                 chan.next_event(timeout=0.5)
             assert exited == [proc.pid]
-            assert svc.pidfd_cache == {} and svc._handles == {}
+            # the pidfd and the memory handle are closed
+            assert svc.pidfd_cache == {}
+            assert len(os.listdir("/proc/self/fd")) == fds_before
+        finally:
+            svc.close()
+            chan.close()
+            os.close(w)
+
+    def test_thread_exit_drops_its_pidfd(self, threaded_child):
+        proc, tid = threaded_child
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        svc = MemService(chan)
+        try:
+            leader = svc.process(proc.pid)
+            fds_before = len(os.listdir("/proc/self/fd"))
+            assert svc.process(tid) is leader
+            assert svc.tgid(tid) == proc.pid
+            # the thread's own pidfd, watched in the channel's poll
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 1
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+            assert proc.stdout.readline() == "joined\n"
+            with pytest.raises(TimeoutError):
+                chan.next_event(timeout=0.3)
+            assert len(os.listdir("/proc/self/fd")) == fds_before
+            assert list(svc.pidfd_cache) == [proc.pid]  # the process lives
+            with pytest.raises(TargetGone):
+                svc.process(tid)  # the id is no longer mapped
+        finally:
+            svc.close()
+            chan.close()
+            os.close(w)
+
+    def test_process_exit_drops_its_threads(self, threaded_child):
+        proc, tid = threaded_child
+        r, w = os.pipe()
+        chan = NotificationChannel(r, probe_addfd=False)
+        exited = []
+        svc = MemService(chan, on_exit=exited.append)
+        fds_before = len(os.listdir("/proc/self/fd"))
+        try:
+            assert svc.tgid(tid) == proc.pid
+            # the process's pidfd and the thread's
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 2
+            proc.kill()
+            proc.wait()
+            with pytest.raises(TimeoutError):
+                chan.next_event(timeout=0.3)
+            assert exited == [proc.pid]
+            assert svc.pidfd_cache == {}
+            assert len(os.listdir("/proc/self/fd")) == fds_before
         finally:
             svc.close()
             chan.close()
@@ -267,9 +344,13 @@ class TestMemService:
     def test_forget_drops_handle(self, child):
         proc, addr, _ = child
         svc = MemService()
+        fds_before = len(os.listdir("/proc/self/fd"))
         try:
             svc.read(proc.pid, addr, 4)
+            # a pidfd and the memory handle
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 2
             svc.forget(proc.pid)
-            assert proc.pid not in svc._handles
+            assert svc.pidfd_cache == {}
+            assert len(os.listdir("/proc/self/fd")) == fds_before
         finally:
             svc.close()
