@@ -197,32 +197,28 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
     """Carry out a switch/rewrite verdict for a connect or bind as one
     fail-closed transaction: replay the options recorded in ``rec`` (None
     for a socket without a record) onto a host socket, copy the copied ones
-    from ``dup`` (the caller's duplicate of the target's fd, which this
-    closes), bind it to the host endpoint (bind) or rewrite the sockaddr and
-    validate the cookie (rewrite), copy the target fd's flags onto the host
-    socket where they differ from its own and inject it under the target's
-    fd number.  ``raw`` is the sockaddr as ``parse_connection_args`` read
-    it; any failure before the injection restores the rewritten bytes from
-    it and lets the original syscall go ahead unchanged.  The host socket
-    and ``dup`` are closed on every path, and exactly one response is sent
-    after that: a switched bind gets success (the injected socket is
-    already bound and would refuse the original bind), everything else
-    continues.
+    from ``dup`` (the caller's duplicate of the target's fd, which the
+    caller closes), bind it to the host endpoint (bind) or rewrite the
+    sockaddr and validate the cookie (rewrite), copy the target fd's flags
+    onto the host socket where they differ from its own and inject it under
+    the target's fd number.  ``raw`` is the sockaddr as
+    ``parse_connection_args`` read it; any failure before the injection
+    restores the rewritten bytes from it.  The host socket is closed on
+    every path before this returns.
 
-    Returns True on a switch, None on rollback.
+    Returns the response for a switch: success for a bind (the injected
+    socket is already bound and would refuse the original bind), continue
+    otherwise; None on rollback, for which the original syscall continues
+    unchanged.
     """
     host_sock = None
     is_bind = decision.verdict == "switch" and decision.new_dest is not None
     addr_ptr = event.args[1]
-    saved = None  # original sockaddr bytes under the rewrite
-    injected = False
+    saved = None  # original sockaddr bytes under a rewrite not yet injected
     try:
         host_sock = _socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         replay_options(rec, host_sock)
         copy_options(dup.socket(), host_sock)
-        # closed now, the target's fd holds the last reference to its
-        # socket, and the injection releases it in the target
-        dup.close()
         if decision.verdict == "rewrite":
             new_raw = pack_sockaddr_in(*decision.new_dest)
             if len(new_raw) > len(raw):
@@ -248,11 +244,11 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
         # once the notification is no longer pending (seccomp_unotify(2))
         chan.inject_fd(event, host_sock.fileno(), event.fd_arg,
                        cloexec=bool(flags & os.O_CLOEXEC))
-        injected = True
+        saved = None  # injected: the rewrite stands
         if rec is not None:
             registry.mark_switched(rec, spoofed_peer=decision.spoof_peer,
                                    inode=inode)
-        return True
+        return Response.success(0) if is_bind else Response.cont()
     except ReplayFailed as e:
         log.warning("option replay failed on (%d,%d): %s; staying unswitched",
                     event.pid, event.fd_arg, e)
@@ -264,42 +260,36 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
                  event.fd_arg, e)
         return None
     finally:
-        if saved is not None and not injected:
+        if saved is not None:
             try:
                 mem.write(event.pid, addr_ptr, saved)
             except (OSError, B4nsError):
                 pass
-        dup.close()
         if host_sock is not None:
             host_sock.close()
-        chan.respond(event, Response.success(0) if injected and is_bind
-                     else Response.cont())
 
 
 def handle_status(event, rec, chan, mem):
-    """Spoof getpeername on switched sockets with a rewritten destination,
-    handling its arguments as the kernel's move_addr_to_user does; on any
-    other socket it passes through to the kernel."""
+    """The response to a getpeername: spoofed on a switched socket with a
+    rewritten destination, handling its arguments as the kernel's
+    move_addr_to_user does; on any other socket it passes through to the
+    kernel."""
     if (
         rec is None
         or rec.status is not SocketStatus.SWITCHED
         or rec.spoofed_peer is None
     ):
-        chan.respond(event, Response.cont())
-        return
+        return Response.cont()
     addr_ptr, addrlen_ptr = event.args[1], event.args[2]
     try:
         (socklen,) = struct.unpack("<i", mem.read(event.pid, addrlen_ptr, 4))
         if socklen < 0:
-            chan.respond(event, Response.failure(errno.EINVAL))
-            return
+            return Response.failure(errno.EINVAL)
         # the full length is reported even when the copy is truncated
         mem.write(event.pid, addrlen_ptr, struct.pack("<i", SOCKADDR_IN_SIZE))
         if socklen:
             raw = pack_sockaddr_in(*rec.spoofed_peer)
             mem.write(event.pid, addr_ptr, raw[:socklen])
     except (MemFault, TargetGone):
-        chan.respond(event, Response.failure(errno.EFAULT))
-        return
-    chan.respond(event, Response.success(0) if chan.validate(event)
-                 else Response.cont())
+        return Response.failure(errno.EFAULT)
+    return Response.success(0) if chan.validate(event) else Response.cont()

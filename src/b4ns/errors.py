@@ -39,10 +39,6 @@ class FdNotAvailable(B4nsError):
     """Target fd closed or acquisition denied; socket is non-switchable."""
 
 
-class AgentFailed(B4nsError):
-    """No memory agent possible; switching disabled for the process."""
-
-
 # socket state
 class ReplayFailed(B4nsError):
     def __init__(self, option):

@@ -123,6 +123,8 @@ class SupervisorInstance:
             self.audit.append((event.cookie, name, action))
 
     def _dispatch(self, event):
+        """Answer ``event``: its handler returns (action, response), and
+        this audits it and sends the one response."""
         entry = (self._handlers.get(event.syscall_nr)
                  if event.arch == AUDIT_ARCH_X86_64 else None)
         if entry is None:
@@ -131,20 +133,21 @@ class SupervisorInstance:
             # numbers name other syscalls than the x86_64 table's
             name = f"nr{event.syscall_nr}"
             log.debug("unexpected notification: arch %#x %s", event.arch, name)
-            self._audit(event, name, "continue")
-            self.chan.respond(event, Response.cont())
-            return
-        name, handler = entry
-        # records and memory are per process: handlers get the process's id
-        tgid = self.mem.tgid(event.pid)
-        handler(event if tgid == event.pid else event._replace(pid=tgid), name)
+            action, response = "continue", Response.cont()
+        else:
+            name, handler = entry
+            # records and memory are per process: handlers get the process's id
+            tgid = self.mem.tgid(event.pid)
+            action, response = handler(
+                event if tgid == event.pid else event._replace(pid=tgid), name)
+        self._audit(event, name, action)
+        self.chan.respond(event, response)
 
     def _on_status(self, event, name):
-        self._audit(event, name, "status")
         # getpeername is spoofed only on a rewritten socket, whose record
         # holds the spoofed peer, so an unknown fd is never probed here
         rec = self.registry.lookup(event.pid, event.fd_arg, self.mem)
-        engine.handle_status(event, rec, self.chan, self.mem)
+        return "status", engine.handle_status(event, rec, self.chan, self.mem)
 
     def _on_configuration(self, event, name):
         """Record replayable options; the syscall always continues so the
@@ -158,8 +161,7 @@ class SupervisorInstance:
             except (MemFault, TargetGone) as e:
                 log.debug("option read failed on (%d,%d): %s",
                           event.pid, event.fd_arg, e)
-        self._audit(event, name, "continue")
-        self.chan.respond(event, Response.cont())
+        return "continue", Response.cont()
 
     def _record_configuration(self, event, name, rec):
         if name == "setsockopt":
@@ -180,51 +182,41 @@ class SupervisorInstance:
             self.registry.mark_non_switchable(rec)
 
     def _on_connection(self, event, name):
-        dup = switch = None
+        """Switch a connect/bind, or let it continue unswitched.  The live
+        socket decides; a record, if the fd has one, only adds what it
+        cannot tell.  None is created here: a fresh socket is switched with
+        ``rec`` None, and gets a record only if the switch leaves one to
+        keep.  One duplicate serves the identity check, the probe and the
+        option copy; it is closed before the response."""
         try:
-            # one duplicate serves the identity check, the probe and the
-            # option copy; it is closed before the response
             dup = self.mem.acquire_fd(event.pid, event.fd_arg)
-            action, switch = self._connection_verdict(event, name, dup)
-        except FdNotAvailable:
-            action = "continue"  # the fd is not open, or its process exited
-        finally:
-            if switch is None and dup is not None:
-                dup.close()
-        if switch is None:
-            self._audit(event, name, action)
-            self.chan.respond(event, Response.cont())
-            return
-        rec, decision, raw = switch
-        if engine.execute_switch(event, rec, decision, raw, self.chan,
-                                 self.mem, self.registry, dup):
-            self.counters.sockets_switched += 1
-            self._audit(event, name, decision.verdict)
-        else:
-            self.counters.switches_rolled_back += 1
-            self._audit(event, name, "rolled_back")
-
-    def _connection_verdict(self, event, name, dup):
-        """(action, None) for a connect/bind that continues unswitched, or
-        (verdict, (rec, decision, raw)) for one to switch.  The live socket
-        decides; a record, if the fd has one, only adds what it cannot tell.
-        None is created here: a fresh socket is switched with ``rec`` None,
-        and gets a record only if the switch leaves one to keep."""
-        rec = self.registry.lookup(event.pid, event.fd_arg, self.mem, dup)
-        if rec is not None and rec.status is not SocketStatus.TRACKABLE:
-            return "continue", None
-        if not switchable(dup):
-            return "continue", None
+        except FdNotAvailable:  # the fd is not open, or its process exited
+            return "continue", Response.cont()
         try:
-            raw, family, addr, port = engine.parse_connection_args(self.mem, event)
-        except (MemFault, TargetGone):
-            return "continue", None
-        # the sockaddr just read feeds a security decision: revalidate
-        if not self.chan.validate(event):
-            return "stale", None
-        decision = engine.decide(
-            (name, family, addr, port), self.env,
-            probes=self.probes, multinode=self.multinode)
-        if decision.verdict == "ignore":
-            return "ignore", None
-        return decision.verdict, (rec, decision, raw)
+            rec = self.registry.lookup(event.pid, event.fd_arg, self.mem, dup)
+            if ((rec is not None and rec.status is not SocketStatus.TRACKABLE)
+                    or not switchable(dup)):
+                return "continue", Response.cont()
+            try:
+                raw, family, addr, port = engine.parse_connection_args(
+                    self.mem, event)
+            except (MemFault, TargetGone):
+                return "continue", Response.cont()
+            # the sockaddr just read feeds a security decision: revalidate
+            if not self.chan.validate(event):
+                return "stale", Response.cont()
+            decision = engine.decide(
+                (name, family, addr, port), self.env,
+                probes=self.probes, multinode=self.multinode)
+            if decision.verdict == "ignore":
+                return "ignore", Response.cont()
+            response = engine.execute_switch(event, rec, decision, raw,
+                                             self.chan, self.mem,
+                                             self.registry, dup)
+        finally:
+            dup.close()
+        if response is None:
+            self.counters.switches_rolled_back += 1
+            return "rolled_back", Response.cont()
+        self.counters.sockets_switched += 1
+        return decision.verdict, response

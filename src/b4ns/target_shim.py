@@ -335,10 +335,6 @@ class ScriptRunner:
     def op_sleep(self, op):
         time.sleep(op["seconds"])
 
-    def op_setuid(self, op):
-        os.setgid(op.get("gid", op["uid"]))
-        os.setuid(op["uid"])
-
     def op_barrier(self, op):
         """Emit a marker and wait for one line on stdin (test choreography)."""
         self.emit(op="barrier", name=op.get("name", ""))

@@ -1,9 +1,8 @@
 """Remote access to the supervised process: memory and file descriptors.
 
-Memory goes through /proc/<pid>/mem (directly, or via a reduced-privilege
-agent that re-opens it with the target's credentials and passes the fd back
-over a unix socket).  Fd duplicates come from pidfd_getfd(2), through a
-pidfd per process that also tells when the process exits.  An fd's flags
+Memory goes through /proc/<pid>/mem.  Fd duplicates come from
+pidfd_getfd(2), through a pidfd per process that also tells when the
+process exits.  An fd's flags
 and identity are read through the process's /proc/<pid>/fdinfo and
 /proc/<pid>/fd directories, each opened once, and the flags through one
 fdinfo file per process, held open while the same fd number is asked.
@@ -11,21 +10,15 @@ A thread id is mapped to its process through the thread's own pidfd.
 """
 
 import _socket
-import array
 import ctypes
 import errno
 import fcntl
 import functools
-import logging
 import os
-import socket
 import struct
-import sys
 from dataclasses import dataclass, field
 
-from .errors import AgentFailed, FdNotAvailable, MemFault, ReadOnlyMapping, TargetGone
-
-log = logging.getLogger(__name__)
+from .errors import FdNotAvailable, MemFault, ReadOnlyMapping, TargetGone
 
 _libc = ctypes.CDLL(None, use_errno=True)
 
@@ -38,15 +31,10 @@ MAX_RW = 4096  # sockaddr-scale transfers only
 
 
 class MemHandle:
-    """Read/write window into one target's address space.
+    """Read/write window into one target's address space."""
 
-    source is "direct" (we opened /proc/pid/mem ourselves) or "agent"
-    (an in-credentials helper opened it for us).
-    """
-
-    def __init__(self, pid, mem_fd, source="direct"):
+    def __init__(self, pid, mem_fd):
         self.pid = pid
-        self.source = source
         self._fd = mem_fd
 
     def read(self, addr, length):
@@ -88,19 +76,20 @@ def _mem_oserr(e, pid):
         return TargetGone(f"pid {pid} exited")
     if e.errno in (errno.EIO, errno.EFAULT):
         return MemFault(str(e))
-    if e.errno == errno.EPERM:
-        return PermissionError(str(e))
     return e
 
 
 def open_mem(pid):
-    """Open the target's memory directly.  PermissionError propagates so the
-    caller can fall back to the agent path."""
+    """Open the target's memory.  A denied open (the file is 0600 and
+    owned by the target's uid) is a MemFault, which every caller answers
+    by leaving the syscall unswitched."""
     try:
         fd = os.open(f"/proc/{pid}/mem", os.O_RDWR)
     except FileNotFoundError:
         raise TargetGone(f"pid {pid} exited")
-    return MemHandle(pid, fd, source="direct")
+    except PermissionError as e:
+        raise MemFault(f"memory of pid {pid}: {e}")
+    return MemHandle(pid, fd)
 
 
 def _pidfd_open(pid, flags=0):
@@ -165,74 +154,6 @@ def _getfd(pidfd, pid, remote_fd):
     return RemoteFd(pid, remote_fd, local)
 
 
-# ---------------------------------------------------------------------------
-# privileged-memory agent: re-open /proc/pid/mem with the target's own
-# credentials when the supervisor's uid cannot.
-
-def _agent_main(sock_fd, pid):
-    """Runs in the forked helper: adopt the target's uid/gid, open its memory,
-    pass the fd back.  Exits nonzero on any failure."""
-    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM, fileno=sock_fd)
-    try:
-        with open(f"/proc/{pid}/status") as f:
-            fields = dict(
-                line.split(":", 1) for line in f if ":" in line)
-        uid = int(fields["Uid"].split()[0])
-        gid = int(fields["Gid"].split()[0])
-        if os.getgid() != gid:
-            os.setgid(gid)
-        if os.getuid() != uid:
-            os.setuid(uid)
-        fd = os.open(f"/proc/{pid}/mem", os.O_RDWR)
-        s.sendmsg([b"M"], [(socket.SOL_SOCKET, socket.SCM_RIGHTS,
-                            array.array("i", [fd]))])
-        os._exit(0)
-    except Exception:
-        try:
-            s.sendall(b"E")
-        except OSError:
-            pass
-        os._exit(1)
-
-
-def open_mem_via_agent(pid, spawn=None):
-    """Memory handle through a helper running with the target's credentials.
-
-    Used after a direct open failed with a permission error (target setuid'd
-    inside its sandbox).  ``spawn`` is injectable for fault tests.
-    """
-    sup, agent = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
-        if spawn is None:
-            child = os.fork()
-            if child == 0:
-                sup.close()
-                _agent_main(agent.detach(), pid)
-                os._exit(1)  # unreachable
-            agent.close()
-        else:
-            spawn(agent, pid)
-            agent.close()
-        sup.settimeout(5.0)
-        try:
-            msg, anc, _, _ = sup.recvmsg(1, socket.CMSG_LEN(4))
-        except (socket.timeout, OSError) as e:
-            raise AgentFailed(f"agent handshake failed for pid {pid}: {e}")
-        if msg != b"M":
-            raise AgentFailed(f"agent could not open memory of pid {pid}")
-        fds = []
-        for level, ctype, data in anc:
-            if level == socket.SOL_SOCKET and ctype == socket.SCM_RIGHTS:
-                fds.extend(array.array("i", data))
-        if not fds:
-            raise AgentFailed(f"agent reply carried no fd for pid {pid}")
-        if spawn is None:
-            os.waitpid(child, 0)
-        return MemHandle(pid, fds[0], source="agent")
-    finally:
-        sup.close()
-
-
 @dataclass(eq=False)
 class _Process:
     """One supervised process (thread group), as the memory service holds
@@ -247,8 +168,8 @@ class _Process:
 
 
 class MemService:
-    """Per-process memory handles, pidfds and /proc directory fds, with
-    lazy agent fallback.  A ``pid`` argument may name any thread.
+    """Per-process memory handles, pidfds and /proc directory fds.  A
+    ``pid`` argument may name any thread.
 
     With ``chan``, every pidfd opened is watched in the channel's poll: when
     a process exits, ``on_exit(tgid)`` runs and the process is forgotten;
@@ -311,12 +232,7 @@ class MemService:
     def handle(self, pid):
         proc = self.process(pid)
         if proc.mem is None:
-            try:
-                proc.mem = open_mem(proc.tgid)
-            except PermissionError:
-                log.info("direct memory open denied for pid %d; using agent",
-                         proc.tgid)
-                proc.mem = open_mem_via_agent(proc.tgid)
+            proc.mem = open_mem(proc.tgid)
         return proc.mem
 
     def _reopened(self, pid, h):

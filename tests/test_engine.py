@@ -24,6 +24,15 @@ from b4ns.sockaddr import (
 from fakes import FakeChannel, FakeMem, held_dup, make_event
 
 
+@pytest.fixture
+def dup():
+    """The duplicate a connect holds; its caller, not the engine, closes
+    it."""
+    d = held_dup()
+    yield d
+    d.close()
+
+
 def trackable():
     rec = SocketRecord(pid=1000, fd=3)
     rec.transition(SocketStatus.TRACKABLE)
@@ -297,8 +306,7 @@ class TestHandleStatus:
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 16))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem)
-        resp = chan.last_response()
+        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
         assert resp.kind == "success"
         fam, addr, port = parse_sockaddr(mem.peek(1000, addr_ptr, 16))
         assert (addr, port) == ("10.4.0.2", 80)
@@ -326,8 +334,7 @@ class TestHandleStatus:
         len_ptr = (0 if length is None
                    else mem.place(1000, 0x80, struct.pack("<i", length)))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem)
-        resp = chan.last_response()
+        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
         if err:
             assert (resp.kind, resp.err) == ("error", err)
         else:
@@ -347,16 +354,15 @@ class TestHandleStatus:
         mem.fault_addrs.add(bad_ptr)
         ev = make_event(pid=1000, args=(3, mem.place(1000, 0x40, b"\x00" * 16),
                                         bad_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem)
-        resp = chan.last_response()
+        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
         assert resp.kind == "error"
         assert resp.err == errno.EFAULT
 
     def test_unswitched_socket_passes_through(self):
         chan = FakeChannel()
         ev = make_event(pid=1000, args=(3, 0x1234, 0x5678))
-        engine.handle_status(ev, trackable(), chan, FakeMem())
-        assert chan.last_response().kind == "continue"
+        resp = engine.handle_status(ev, trackable(), chan, FakeMem())
+        assert resp.kind == "continue"
 
     def test_stale_cookie_after_write_degrades_to_continue(self):
         mem = FakeMem()
@@ -365,8 +371,8 @@ class TestHandleStatus:
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 16))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        engine.handle_status(ev, self._switched_rec(), chan, mem)
-        assert chan.last_response().kind == "continue"
+        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
+        assert resp.kind == "continue"
 
 
 class TestExecuteSwitchRollback:
@@ -377,7 +383,7 @@ class TestExecuteSwitchRollback:
         ptr = mem.place(1000, 0x40, raw)
         return make_event(pid=1000, args=(3, ptr, len(raw))), ptr, raw
 
-    def test_rewrite_restores_bytes_on_stale_cookie(self):
+    def test_rewrite_restores_bytes_on_stale_cookie(self, dup):
         from b4ns.registry import SocketRegistry
 
         mem = FakeMem()
@@ -388,14 +394,14 @@ class TestExecuteSwitchRollback:
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
         out = engine.execute_switch(ev, rec, decision, orig, chan, mem,
-                                    SocketRegistry(), held_dup())
-        assert out is None
-        assert chan.last_response().kind == "continue"
+                                    SocketRegistry(), dup)
+        assert out is None  # the caller answers continue
+        assert chan.responses == []
         assert chan.injections == []
         assert mem.peek(1000, ptr, len(orig)) == orig  # bytes restored
         assert rec.status is SocketStatus.TRACKABLE  # no half-switched state
 
-    def test_rewrite_restores_from_the_bytes_already_read(self):
+    def test_rewrite_restores_from_the_bytes_already_read(self, dup):
         from b4ns.registry import SocketRegistry
 
         mem = FakeMem()
@@ -410,12 +416,12 @@ class TestExecuteSwitchRollback:
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
         out = engine.execute_switch(ev, trackable(), decision, orig, chan, mem,
-                                    SocketRegistry(), held_dup())
+                                    SocketRegistry(), dup)
         assert out is None
         assert [w[2] for w in mem.writes] == [
             pack_sockaddr_in("127.0.0.1", 8080), orig]
 
-    def test_replay_failure_rolls_back_before_any_injection(self):
+    def test_replay_failure_rolls_back_before_any_injection(self, dup):
         from b4ns.registry import OptionEvent, SocketRegistry
 
         mem = FakeMem()
@@ -424,13 +430,13 @@ class TestExecuteSwitchRollback:
         rec = trackable()
         rec.add_option(OptionEvent("setsockopt", (9999, 9999, b"\x01")))
         out = engine.execute_switch(ev, rec, SwitchDecision("switch"), raw,
-                                    chan, mem, SocketRegistry(), held_dup())
+                                    chan, mem, SocketRegistry(), dup)
         assert out is None
         assert chan.injections == []
-        assert chan.last_response().kind == "continue"
+        assert chan.responses == []
         assert rec.status is SocketStatus.NON_SWITCHABLE
 
-    def test_bind_to_busy_host_port_rolls_back(self):
+    def test_bind_to_busy_host_port_rolls_back(self, dup):
         from b4ns.registry import SocketRegistry
 
         busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -446,12 +452,12 @@ class TestExecuteSwitchRollback:
                                   hport=busy.getsockname()[1])]))
             fds_before = len(os.listdir("/proc/self/fd"))
             out = engine.execute_switch(ev, rec, decision, raw, chan, mem,
-                                        SocketRegistry(), held_dup())
+                                        SocketRegistry(), dup)
             assert len(os.listdir("/proc/self/fd")) == fds_before
         finally:
             busy.close()
         assert out is None
-        assert [r.kind for _, r in chan.responses] == ["continue"]
+        assert chan.responses == []
         assert chan.injections == []
         assert rec.status is SocketStatus.TRACKABLE
 
@@ -465,7 +471,7 @@ class TestExecuteSwitchWithoutRecord:
         return make_event(pid=1000, args=(3, mem.place(1000, 0x40, raw),
                                           len(raw))), raw
 
-    def test_plain_switch_keeps_no_record(self, monkeypatch):
+    def test_plain_switch_keeps_no_record(self, monkeypatch, dup):
         from b4ns.registry import SocketRegistry
 
         def no_fstat(fd):
@@ -475,16 +481,16 @@ class TestExecuteSwitchWithoutRecord:
         mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
         ev, raw = self._event(mem)
         out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, raw,
-                                    chan, mem, reg, held_dup())
-        assert out is True
+                                    chan, mem, reg, dup)
+        assert out.kind == "continue"
         assert [i[2:] for i in chan.injections] == [(3, True)]
         # nothing written: ADDFD alone fails on a notification gone stale
         assert chan.validate_calls == 0
         assert mem.writes == []
         assert reg.snapshot() == []
-        assert chan.last_response().kind == "continue"
+        assert chan.responses == []  # the caller sends ``out``
 
-    def test_rewrite_keeps_a_record_for_the_spoofed_peer(self):
+    def test_rewrite_keeps_a_record_for_the_spoofed_peer(self, dup):
         from b4ns.registry import SocketRegistry
 
         mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
@@ -492,15 +498,15 @@ class TestExecuteSwitchWithoutRecord:
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
         out = engine.execute_switch(ev, None, decision, raw, chan, mem, reg,
-                                    held_dup())
-        assert out is True
+                                    dup)
+        assert out.kind == "continue"
         assert chan.validate_calls == 1  # after the write
         rec = reg.get(1000, 3)
         assert rec.status is SocketStatus.SWITCHED
         assert rec.spoofed_peer == ("10.4.0.2", 80)
         assert rec.inode is not None
 
-    def test_replay_failure_without_record_rolls_back(self, monkeypatch):
+    def test_replay_failure_without_record_rolls_back(self, monkeypatch, dup):
         from b4ns.errors import ReplayFailed
         from b4ns.registry import SocketRegistry
 
@@ -511,8 +517,8 @@ class TestExecuteSwitchWithoutRecord:
         mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
         ev, raw = self._event(mem)
         out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, raw,
-                                    chan, mem, reg, held_dup())
+                                    chan, mem, reg, dup)
         assert out is None
         assert chan.injections == []
         assert reg.snapshot() == []
-        assert chan.last_response().kind == "continue"
+        assert chan.responses == []

@@ -7,7 +7,9 @@ import socket
 import struct
 import termios
 
-from b4ns.engine import NetEnvironment
+import pytest
+
+from b4ns.engine import NetEnvironment, PublishMapping
 from b4ns.errors import ChannelClosed, TargetGone
 from b4ns.registry import MAX_OPTIONS, SocketRegistry, SocketStatus
 from b4ns.sockaddr import pack_sockaddr_in
@@ -30,11 +32,13 @@ def supervisor(env=None):
     return sup, srv
 
 
-def connect_event(sup, cookie=1):
-    """A connect on fd 3 to an address outside every container CIDR."""
-    raw = pack_sockaddr_in("93.184.216.34", 443)
+def connect_event(sup, cookie=1, addr="93.184.216.34", port=443,
+                  name="connect"):
+    """A connect (or bind) on fd 3, by default to an address outside every
+    container CIDR."""
+    raw = pack_sockaddr_in(addr, port)
     ptr = sup.mem.place(1000, 0x40, raw)
-    return make_event(cookie=cookie, nr=NR["connect"], args=(3, ptr, len(raw)))
+    return make_event(cookie=cookie, nr=NR[name], args=(3, ptr, len(raw)))
 
 
 class TestForeignArch:
@@ -177,7 +181,94 @@ def cork_event(sup, cookie=1, on=1):
                       args=(3, socket.IPPROTO_TCP, socket.TCP_CORK, ptr, 4))
 
 
+# how each outcome is arranged: (supervisor, the fd's socket, a listening
+# socket holding a host port) -> the event to dispatch
+def fd_gone(sup, srv, busy):
+    sup.mem.fd_probe = None  # pidfd_getfd fails: the fd is not open
+    return connect_event(sup)
+
+
+def non_trackable(sup, srv, busy):
+    sup.registry.mark_non_switchable(
+        sup.registry.ensure_registered(1000, 3, sup.mem))
+    return connect_event(sup)
+
+
+def not_switchable(sup, srv, busy):
+    srv.bind(("127.0.0.1", 0))  # a bound socket cannot be switched
+    return connect_event(sup)
+
+
+def unreadable_sockaddr(sup, srv, busy):
+    ev = connect_event(sup)
+    sup.mem.fault_addrs.add(ev.args[1])
+    return ev
+
+
+def stale_cookie(sup, srv, busy):
+    sup.chan.invalid_cookies.add(1)
+    return connect_event(sup)
+
+
+def ignored(sup, srv, busy):
+    return connect_event(sup, addr="10.4.0.9", port=80)  # no mapping
+
+
+def switched(sup, srv, busy):
+    return connect_event(sup)
+
+
+def rewritten(sup, srv, busy):
+    return connect_event(sup, addr="10.4.0.2", port=80)
+
+
+def published_bind(sup, srv, busy):
+    return connect_event(sup, addr="0.0.0.0", port=80, name="bind")
+
+
+def bind_to_busy_host_port(sup, srv, busy):
+    sup.env = NetEnvironment(published_ports=[PublishMapping(
+        "10.4.0.2", 80, "127.0.0.1", busy.getsockname()[1])])
+    return connect_event(sup, addr="0.0.0.0", port=80, name="bind")
+
+
 class TestConnection:
+    """Each way a connect or bind ends is answered exactly once, by
+    ``_dispatch``, with the audit action and counters that say which."""
+
+    # published 10.4.0.2:80 -> 127.0.0.1 on any free port
+    ENV = NetEnvironment(
+        container_cidrs=["10.4.0.0/24"], unprivileged=False,
+        published_ports=[PublishMapping("10.4.0.2", 80, "127.0.0.1", 0)])
+
+    @pytest.mark.parametrize("arrange,kind,action,switches,rollbacks", [
+        (fd_gone, "continue", "continue", 0, 0),
+        (non_trackable, "continue", "continue", 0, 0),
+        (not_switchable, "continue", "continue", 0, 0),
+        (unreadable_sockaddr, "continue", "continue", 0, 0),
+        (stale_cookie, "continue", "stale", 0, 0),
+        (ignored, "continue", "ignore", 0, 0),
+        (switched, "continue", "switch", 1, 0),
+        (rewritten, "continue", "rewrite", 1, 0),
+        (published_bind, "success", "switch", 1, 0),
+        (bind_to_busy_host_port, "continue", "rolled_back", 0, 1),
+    ], ids=["fd-gone", "non-trackable", "not-switchable",
+            "unreadable-sockaddr", "stale-cookie", "ignore", "switch",
+            "rewrite", "bind", "rollback"])
+    def test_answered_once(self, arrange, kind, action, switches, rollbacks):
+        sup, srv = supervisor(self.ENV)
+        with srv, socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            ev = arrange(sup, srv, busy)
+            sup._dispatch(ev)
+        name = "bind" if ev.syscall_nr == NR["bind"] else "connect"
+        assert [(c, r.kind) for c, r in sup.chan.responses] == [(1, kind)]
+        assert sup.audit == [(1, name, action)]
+        assert (sup.counters.sockets_switched,
+                sup.counters.switches_rolled_back) == (switches, rollbacks)
+        assert len(sup.chan.injections) == switches
+
     def test_non_trackable_record_continues_unread(self):
         sup, srv = supervisor()
         try:

@@ -8,14 +8,13 @@ import sys
 
 import pytest
 
-from b4ns.errors import AgentFailed, FdNotAvailable, MemFault, TargetGone
+from b4ns.errors import FdNotAvailable, MemFault, TargetGone
 from b4ns.notify import NotificationChannel
 from b4ns.registry import switchable
 from b4ns.targetmem import (
     MAX_RW,
     MemService,
     open_mem,
-    open_mem_via_agent,
 )
 
 CHILD_SRC = r"""
@@ -169,35 +168,6 @@ class TestAcquireFd:
             acquire_fd(proc.pid, 0)
 
 
-class TestAgent:
-    def test_agent_opens_memory(self, child):
-        proc, addr, _ = child
-        h = open_mem_via_agent(proc.pid)
-        try:
-            assert h.source == "agent"
-            assert h.read(addr, 16) == b"hello-target-mem"
-        finally:
-            h.close()
-
-    def test_agent_dies_before_reply(self, child):
-        proc, _, _ = child
-
-        def broken_spawn(agent_sock, pid):
-            pass  # both ends closed without any reply
-
-        with pytest.raises(AgentFailed):
-            open_mem_via_agent(proc.pid, spawn=broken_spawn)
-
-    def test_agent_reports_failure(self, child):
-        proc, _, _ = child
-
-        def failing_spawn(agent_sock, pid):
-            agent_sock.send(b"E")
-
-        with pytest.raises(AgentFailed):
-            open_mem_via_agent(proc.pid, spawn=failing_spawn)
-
-
 class TestMemService:
     def test_handles_are_cached_per_pid(self, child):
         proc, addr, _ = child
@@ -207,6 +177,29 @@ class TestMemService:
             h1 = svc.handle(proc.pid)
             h2 = svc.handle(proc.pid)
             assert h1 is h2
+        finally:
+            svc.close()
+
+    def test_denied_memory_open_is_a_fault(self, child, monkeypatch):
+        # a supervisor that may duplicate the target's fds but not open its
+        # 0600 /proc/<pid>/mem leaves the call unswitched, with no helper
+        proc, addr, _ = child
+        real_open = os.open
+
+        def deny_mem(path, *args, **kwargs):
+            if str(path).endswith("/mem"):
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, *args, **kwargs)
+
+        def no_fork():
+            raise AssertionError("forked a helper")
+
+        monkeypatch.setattr(os, "open", deny_mem)
+        monkeypatch.setattr(os, "fork", no_fork)
+        svc = MemService()
+        try:
+            with pytest.raises(MemFault):
+                svc.read(proc.pid, addr, 5)
         finally:
             svc.close()
 
