@@ -8,9 +8,9 @@ the listener fd, which the runtime shim then hands to the supervisor.
 import ctypes
 import os
 
-from .registry import COPIED_OPTIONS, UNHOOKED_IOCTLS
 from .sockaddr import SOCKADDR_IN_SIZE
-from .sysnr import AUDIT_ARCH_X86_64, HOOKED_NRS, NR
+from .sysnr import (AUDIT_ARCH_X86_64, COPIED_OPTIONS, HOOKED_NRS, NR,
+                    UNHOOKED_IOCTLS)
 
 _libc = ctypes.CDLL(None, use_errno=True)
 

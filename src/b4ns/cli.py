@@ -1,4 +1,9 @@
-"""Command-line entry points: b4nsd, b4ns, b4ns-trace, b4ns-bench."""
+"""Command-line entry points: b4nsd, b4ns, b4ns-trace, b4ns-bench.
+
+``b4ns attach`` runs one supervisor per container, so this module imports
+only what attach uses; the daemon, the KVS, the trace analyzer and the
+benchmark are imported by the commands and options that use them.
+"""
 
 import argparse
 import json
@@ -7,10 +12,7 @@ import signal
 import sys
 import threading
 
-from . import bench as bench_mod
-from . import daemon as daemon_mod
-from . import kvs as kvs_mod
-from . import notify, traces
+from . import notify
 from .engine import NetEnvironment, PublishMapping
 from .errors import B4nsError, EmptyTrace
 from .supervisor import SupervisorInstance
@@ -30,6 +32,7 @@ def main_daemon(argv=None):
     ap.add_argument("--node-id", default=None)
     args = ap.parse_args(argv)
 
+    from . import daemon as daemon_mod
     d = daemon_mod.Daemon(kvs_endpoint=args.kvs, node_id=args.node_id)
     srv = daemon_mod.serve_api(d, args.api_socket)
     print(f"b4nsd listening on {args.api_socket}", flush=True)
@@ -71,6 +74,7 @@ def main_b4ns(argv=None):
     args = ap.parse_args(argv)
 
     if args.cmd == "status":
+        from . import daemon as daemon_mod
         client = daemon_mod.DaemonClient(args.api_socket)
         status, payload = client.status(args.container_id)
         print(json.dumps(payload, indent=2))
@@ -88,6 +92,7 @@ def main_b4ns(argv=None):
     if args.multinode:
         if not args.kvs:
             ap.error("--multinode requires --kvs or " + ENV_KVS_ENDPOINT)
+        from . import kvs as kvs_mod
         client = kvs_mod.open_kvs(args.kvs)
         publisher = kvs_mod.MappingPublisher(client, node_id=args.host_addr)
         for m in mappings:
@@ -128,6 +133,7 @@ def main_trace(argv=None):
     cv.add_argument("--input", required=True)
     args = ap.parse_args(argv)
 
+    from . import traces
     if args.cmd == "convert-strace":
         with open(args.input) as f:
             for ev in traces.convert_strace(f):
@@ -164,6 +170,7 @@ def _parse_size(text):
 
 
 def main_bench(argv=None):
+    from . import bench as bench_mod
     ap = argparse.ArgumentParser(
         prog="b4ns-bench", description="relay/bypass/direct loopback benchmark")
     ap.add_argument("--mode", action="append", choices=bench_mod.MODES,

@@ -52,21 +52,37 @@ class ContainerSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """ValueError, KeyError or TypeError for a spec it cannot take."""
+        if not isinstance(d, dict):
+            raise TypeError(f"a spec is a JSON object, not {type(d).__name__}")
+        entries = d.get("publish", [])
+        multinode = bool(d.get("multinode_enabled", False))
+        if multinode and not all(isinstance(m, dict) for m in entries):
+            # the short form's addresses are 0.0.0.0: no other node could
+            # resolve the mapping's key or reach its host address
+            raise ValueError("a multi-node spec needs each publish entry as "
+                             "an object with container_addr and host_addr")
         publish = [
             PublishMapping(**m) if isinstance(m, dict) else PublishMapping.parse(m)
-            for m in d.get("publish", [])
+            for m in entries
         ]
-        return cls(
+        spec = cls(
             container_id=d["container_id"],
             seccomp_handoff_path=d["seccomp_handoff_path"],
             publish=publish,
             container_cidrs=list(d.get("container_cidrs", [])),
             netns_ref=d.get("netns_ref"),
-            multinode_enabled=bool(d.get("multinode_enabled", False)),
+            multinode_enabled=multinode,
             host_loopback_allowed=bool(d.get("host_loopback_allowed", False)),
             probe_enabled=bool(d.get("probe_enabled", False)),
             probe_bind_addr=d.get("probe_bind_addr", "0.0.0.0"),
         )
+        # the environment the instance will run with, checked before anything
+        # starts: past the handoff, a failure would leave the target blocked
+        # in its first hooked syscall
+        NetEnvironment(container_cidrs=spec.container_cidrs,
+                       published_ports=publish)
+        return spec
 
 
 @dataclass
@@ -316,7 +332,13 @@ def serve_api(daemon: Daemon, api_socket_path):
             try:
                 if method == "POST" and parts == ["containers"]:
                     n = int(self.headers.get("Content-Length", 0))
-                    spec = ContainerSpec.from_dict(json.loads(self.rfile.read(n)))
+                    try:
+                        spec = ContainerSpec.from_dict(
+                            json.loads(self.rfile.read(n)))
+                    except (ValueError, KeyError, TypeError) as e:
+                        # bad JSON is a ValueError too
+                        self._reply(400, {"error": f"bad spec: {e!r}"})
+                        return
                     st = daemon.start_instance(spec)
                     self._reply(201, st.as_dict())
                 elif method == "GET" and parts == ["containers"]:

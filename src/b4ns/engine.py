@@ -26,8 +26,7 @@ import logging
 import os
 import socket
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .errors import B4nsError, MemFault, ReplayFailed, TargetGone
 from .notify import Response
@@ -52,14 +51,11 @@ _FRESH_FLAGS = os.O_RDWR
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PublishMapping:
+class PublishMapping(namedtuple(
+        "PublishMapping", "container_addr container_port host_addr host_port")):
     """(container address:port) -> (host address:port)."""
 
-    container_addr: str
-    container_port: int
-    host_addr: str
-    host_port: int
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text, container_addr="0.0.0.0", host_addr="0.0.0.0"):
@@ -70,18 +66,17 @@ class PublishMapping:
         return cls(container_addr, int(container_port), host_addr, int(host_port))
 
 
-@dataclass
 class NetEnvironment:
-    container_cidrs: list = field(default_factory=list)  # ip_network or str
-    published_ports: list = field(default_factory=list)
-    host_loopback_allowed: bool = False
-    unprivileged: bool = True
-
-    def __post_init__(self):
+    def __init__(self, container_cidrs=(), published_ports=(),
+                 host_loopback_allowed=False, unprivileged=True):
+        # each CIDR an ip_network or its text
         self.container_cidrs = [
             ipaddress.ip_network(c) if isinstance(c, str) else c
-            for c in self.container_cidrs
+            for c in container_cidrs
         ]
+        self.published_ports = list(published_ports)
+        self.host_loopback_allowed = host_loopback_allowed
+        self.unprivileged = unprivileged
         for i, a in enumerate(self.container_cidrs):
             for b in self.container_cidrs[i + 1:]:
                 if a.overlaps(b):
@@ -120,11 +115,14 @@ def _ipv4(addr):
     return int.from_bytes(socket.inet_pton(socket.AF_INET, addr), "big")
 
 
-@dataclass(frozen=True)
-class SwitchDecision:
-    verdict: str  # "switch" | "ignore" | "rewrite"
-    new_dest: Optional[tuple] = None   # host (addr, port) to rewrite or bind to
-    spoof_peer: Optional[tuple] = None  # original (addr, port) for getpeername
+class SwitchDecision(namedtuple("SwitchDecision",
+                                "verdict new_dest spoof_peer",
+                                defaults=(None, None))):
+    """verdict: "switch" | "ignore" | "rewrite"; new_dest: the host
+    (addr, port) to rewrite or bind to; spoof_peer: the original
+    (addr, port), for getpeername."""
+
+    __slots__ = ()
 
     IGNORE = SWITCH = None  # filled below
 

@@ -14,14 +14,12 @@ import select
 import socket
 import struct
 import threading
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ChannelClosed, HandoffFailed, StaleCookie, UnsupportedKernel
+from .sysnr import ACK_BYTE
 
 log = logging.getLogger(__name__)
-
-ACK_BYTE = b"\x4f"
 
 # struct seccomp_notif: id, pid, flags, struct seccomp_data{nr, arch, ip, args[6]}
 _NOTIF = struct.Struct("<QIIiIQ6Q")
@@ -47,15 +45,12 @@ RESP_FLAG_CONTINUE = 1  # SECCOMP_USER_NOTIF_FLAG_CONTINUE
 ADDFD_FLAG_SETFD = 1    # SECCOMP_ADDFD_FLAG_SETFD
 
 
-class NotificationEvent(NamedTuple):
+class NotificationEvent(namedtuple("NotificationEvent",
+                                   "cookie pid syscall_nr arch args")):
     """One intercepted syscall, pending a response (a tuple: one is built
     per notification)."""
 
-    cookie: int
-    pid: int
-    syscall_nr: int
-    arch: int
-    args: tuple
+    __slots__ = ()
 
     @property
     def fd_arg(self):
@@ -63,21 +58,19 @@ class NotificationEvent(NamedTuple):
         return self.args[0] & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(namedtuple("Response", "kind value err")):
     """Verdict for one event.
 
     kind: "continue" lets the kernel execute the (possibly modified) syscall;
     "success" / "error" synthesize a result without executing it.
     """
 
-    kind: str  # "continue" | "success" | "error"
-    value: int = 0
-    err: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("continue", "success", "error"):
-            raise ValueError(f"bad response kind {self.kind!r}")
+    def __new__(cls, kind, value=0, err=0):
+        if kind not in ("continue", "success", "error"):
+            raise ValueError(f"bad response kind {kind!r}")
+        return super().__new__(cls, kind, value, err)
 
     @classmethod
     def cont(cls):

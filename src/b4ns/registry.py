@@ -17,41 +17,19 @@ the kernel at switch time.
 import enum
 import functools
 import socket
-import termios
 import threading
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ReplayFailed
 from .sockaddr import socket_inode
+# the filter's lists live with the filter's syscall numbers; both names
+# stay importable from here
+from .sysnr import COPIED_OPTIONS, UNHOOKED_IOCTLS  # noqa: F401
 
 # tcp_info.tcpi_state of a socket neither connected, connecting nor listening
 TCP_CLOSE = 7
 _UNBOUND = ("0.0.0.0", 0)
 # options a record holds; one more marks its socket non-switchable
 MAX_OPTIONS = 64
-
-# ioctls that change nothing a switch must replay: they read state, or set
-# a flag (close-on-exec, O_NONBLOCK) that the switch copies from the
-# target's fd.  The filter lets them through without a notification.
-UNHOOKED_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
-                   termios.FIOCLEX, termios.FIONCLEX, termios.FIONBIO)
-
-# (level, optname) pairs the switch copies from the target's socket instead
-# of recording them.  Each reads back exactly as set, setting it has no
-# effect beyond its value, any value the kernel reports can be set
-# unprivileged, and the order they were set in does not matter.  The filter
-# lets them through without a notification.  Not SO_SNDBUF/SO_RCVBUF:
-# setting one locks the buffer size and turns autotuning off.
-COPIED_OPTIONS = (
-    (socket.SOL_SOCKET, socket.SO_REUSEADDR),
-    (socket.SOL_SOCKET, socket.SO_REUSEPORT),
-    (socket.SOL_SOCKET, socket.SO_KEEPALIVE),
-    (socket.IPPROTO_TCP, socket.TCP_NODELAY),
-    (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE),
-    (socket.IPPROTO_TCP, socket.TCP_KEEPINTVL),
-    (socket.IPPROTO_TCP, socket.TCP_KEEPCNT),
-)
 
 
 class SyscallClass(enum.Enum):
@@ -139,7 +117,6 @@ class IllegalTransition(Exception):
     pass
 
 
-@dataclass
 class OptionEvent:
     """One recorded configuration syscall, replayable onto a host socket.
 
@@ -147,8 +124,19 @@ class OptionEvent:
     kind raises ReplayFailed.
     """
 
-    kind: str
-    args: tuple
+    __slots__ = ("kind", "args")
+
+    def __init__(self, kind, args):
+        self.kind = kind
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.args) == (other.kind, other.args)
+
+    def __repr__(self):
+        return f"OptionEvent(kind={self.kind!r}, args={self.args!r})"
 
     def apply(self, sock: socket.socket):
         if self.kind != "setsockopt":
@@ -157,14 +145,17 @@ class OptionEvent:
         sock.setsockopt(level, optname, optval)
 
 
-@dataclass
 class SocketRecord:
-    pid: int
-    fd: int
-    status: SocketStatus = SocketStatus.UNKNOWN
-    options: list = field(default_factory=list)
-    spoofed_peer: Optional[tuple] = None  # (addr, port)
-    inode: Optional[int] = None  # of the socket the fd holds; None if none
+    __slots__ = ("pid", "fd", "status", "options", "spoofed_peer", "inode")
+
+    def __init__(self, pid, fd, status=SocketStatus.UNKNOWN, options=None,
+                 spoofed_peer=None, inode=None):
+        self.pid = pid
+        self.fd = fd
+        self.status = status
+        self.options = [] if options is None else options
+        self.spoofed_peer = spoofed_peer  # (addr, port)
+        self.inode = inode  # of the socket the fd holds; None if none
 
     def transition(self, new_status):
         if new_status not in _LEGAL_TRANSITIONS[self.status]:

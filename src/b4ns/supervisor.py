@@ -14,7 +14,6 @@ from .errors import (
 )
 from .notify import Response
 from .registry import (
-    UNHOOKED_IOCTLS,
     OptionEvent,
     SocketRegistry,
     SocketStatus,
@@ -22,7 +21,7 @@ from .registry import (
     switchable,
     SyscallClass,
 )
-from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR
+from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR, UNHOOKED_IOCTLS
 from .targetmem import MemService
 
 log = logging.getLogger(__name__)

@@ -1,4 +1,11 @@
-"""x86_64 syscall numbers for the socket-related syscalls we care about."""
+"""x86_64 syscall numbers for the socket-related syscalls we care about, the
+filter's lists of what it hooks and lets through, and the handoff's ack.
+
+Both sides of the handoff import this module: the target only needs the
+filter, not the supervisor."""
+
+import socket
+import termios
 
 AUDIT_ARCH_X86_64 = 0xC000003E
 
@@ -52,3 +59,28 @@ HOOKED_SYSCALLS = (
 )
 
 HOOKED_NRS = tuple(NR[n] for n in HOOKED_SYSCALLS)
+
+# ioctls that change nothing a switch must replay: they read state, or set
+# a flag (close-on-exec, O_NONBLOCK) that the switch copies from the
+# target's fd.  The filter lets them through without a notification.
+UNHOOKED_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
+                   termios.FIOCLEX, termios.FIONCLEX, termios.FIONBIO)
+
+# (level, optname) pairs the switch copies from the target's socket instead
+# of recording them.  Each reads back exactly as set, setting it has no
+# effect beyond its value, any value the kernel reports can be set
+# unprivileged, and the order they were set in does not matter.  The filter
+# lets them through without a notification.  Not SO_SNDBUF/SO_RCVBUF:
+# setting one locks the buffer size and turns autotuning off.
+COPIED_OPTIONS = (
+    (socket.SOL_SOCKET, socket.SO_REUSEADDR),
+    (socket.SOL_SOCKET, socket.SO_REUSEPORT),
+    (socket.SOL_SOCKET, socket.SO_KEEPALIVE),
+    (socket.IPPROTO_TCP, socket.TCP_NODELAY),
+    (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE),
+    (socket.IPPROTO_TCP, socket.TCP_KEEPINTVL),
+    (socket.IPPROTO_TCP, socket.TCP_KEEPCNT),
+)
+
+# the supervisor's one-byte answer once it holds the notification fd
+ACK_BYTE = b"\x4f"

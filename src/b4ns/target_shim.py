@@ -14,7 +14,6 @@ import array
 import ctypes
 import errno
 import fcntl
-import hashlib
 import json
 import os
 import select
@@ -25,8 +24,8 @@ import threading
 import time
 
 from .bpf import install_notify_filter
-from .notify import ACK_BYTE
 from .sockaddr import pack_sockaddr_in
+from .sysnr import ACK_BYTE
 
 CLONE_NEWNET = 0x40000000
 SIOCGIFFLAGS = 0x8913
@@ -71,7 +70,9 @@ def handoff_notify_fd(handoff_path, timeout=10.0):
         except (FileNotFoundError, ConnectionRefusedError):
             if time.monotonic() > deadline:
                 raise
-            time.sleep(0.02)
+            # the supervisor may bind after this process gets here: up to
+            # one retry period is added to the container's start-up
+            time.sleep(0.002)
     notify_fd = install_notify_filter()
     conn.sendmsg([b"\x00"], [(socket.SOL_SOCKET, socket.SCM_RIGHTS,
                               array.array("i", [notify_fd]))])
@@ -225,6 +226,7 @@ class ScriptRunner:
         self.emit(op="send_pattern", bytes=sent)
 
     def op_recv_digest(self, op):
+        import hashlib
         s = self.sock(op)
         s.setblocking(True)
         total = op["bytes"]
@@ -241,6 +243,7 @@ class ScriptRunner:
 
     def op_echo_roundtrip(self, op):
         """Send a pattern and verify the echoed bytes digest-match."""
+        import hashlib
         s = self.sock(op)
         s.setblocking(True)
         total = op["bytes"]

@@ -16,7 +16,6 @@ import fcntl
 import functools
 import os
 import struct
-from dataclasses import dataclass, field
 
 from .errors import FdNotAvailable, MemFault, ReadOnlyMapping, TargetGone
 
@@ -112,14 +111,16 @@ def _pidfd_tgid(pidfd):
     return struct.unpack_from("<I", info, 20)[0]
 
 
-@dataclass
 class RemoteFd:
     """Supervisor-side duplicate of a target fd (same open file description)."""
 
-    pid: int
-    remote_fd: int
-    local_fd: int
-    _sock: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("pid", "remote_fd", "local_fd", "_sock")
+
+    def __init__(self, pid, remote_fd, local_fd):
+        self.pid = pid
+        self.remote_fd = remote_fd
+        self.local_fd = local_fd
+        self._sock = None
 
     def socket(self):
         """The duplicate as a C-level socket object, made once and detached
@@ -154,17 +155,19 @@ def _getfd(pidfd, pid, remote_fd):
     return RemoteFd(pid, remote_fd, local)
 
 
-@dataclass(eq=False)
 class _Process:
     """One supervised process (thread group), as the memory service holds
     it; all but the pidfds are opened when first needed."""
 
-    tgid: int
-    pidfd: int
-    threads: dict = field(default_factory=dict)  # tid -> its thread pidfd
-    mem: object = None  # MemHandle
-    dirs: tuple = ()  # /proc/<tgid>/fd and /proc/<tgid>/fdinfo
-    fdinfo: tuple = ()  # (fd number, open /proc/<tgid>/fdinfo/<fd>)
+    __slots__ = ("tgid", "pidfd", "threads", "mem", "dirs", "fdinfo")
+
+    def __init__(self, tgid, pidfd):
+        self.tgid = tgid
+        self.pidfd = pidfd
+        self.threads = {}  # tid -> its thread pidfd
+        self.mem = None  # MemHandle
+        self.dirs = ()  # /proc/<tgid>/fd and /proc/<tgid>/fdinfo
+        self.fdinfo = ()  # (fd number, open /proc/<tgid>/fdinfo/<fd>)
 
 
 class MemService:

@@ -1,5 +1,6 @@
 """Daemon lifecycle and its management API over the unix socket."""
 
+import json
 import signal
 import threading
 import time
@@ -12,6 +13,7 @@ from b4ns.daemon import (
     Daemon,
     DaemonClient,
     ManagedInstance,
+    _UnixHTTPConnection,
     serve_api,
 )
 from b4ns.engine import PublishMapping
@@ -189,6 +191,33 @@ class TestApiErrors:
         status, _ = client._request("GET", "/bogus")
         assert status == 404
 
+    @pytest.mark.parametrize("body", [
+        b"{not json",
+        b"[]",
+        b'{"seccomp_handoff_path": "/tmp/h.sock"}',
+        b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
+        b' "publish": ["8080:80"], "multinode_enabled": true}',
+        b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
+        b' "publish": ["80:80"]}',
+        b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
+        b' "container_cidrs": ["10.4.0.0/16", "10.4.1.0/24"]}',
+    ], ids=["bad-json", "not-an-object", "no-container-id",
+            "short-publish-multinode", "privileged-host-port",
+            "overlapping-cidrs"])
+    def test_a_spec_it_cannot_run_is_a_bad_request(self, tmp_path, api,
+                                                   body):
+        daemon, client = api
+        conn = _UnixHTTPConnection(str(tmp_path / "api.sock"))
+        try:
+            conn.request("POST", "/containers", body=body)
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400, payload
+        assert "bad spec" in payload["error"]
+        assert daemon.status() == []
+
     def test_bad_handoff_directory_fails_fast(self, tmp_path, api):
         daemon, client = api
         spec = spec_dict(tmp_path, "badpath")
@@ -332,3 +361,15 @@ class TestDaemonDirect:
         })
         assert spec.publish[0].host_port == 8080
         assert spec.publish[1].container_port == 81
+
+    def test_spec_from_dict_rejects_short_publish_for_multinode(self):
+        """The short form maps 0.0.0.0 to 0.0.0.0: another node could neither
+        resolve its KVS key nor reach its host address."""
+        d = {"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",
+             "publish": ["8080:80"], "multinode_enabled": True}
+        with pytest.raises(ValueError):
+            ContainerSpec.from_dict(d)
+        d["publish"] = [{"container_addr": "10.4.0.2", "container_port": 80,
+                         "host_addr": "127.0.0.1", "host_port": 8080}]
+        assert ContainerSpec.from_dict(d).publish == [
+            PublishMapping("10.4.0.2", 80, "127.0.0.1", 8080)]

@@ -109,6 +109,18 @@ class TestNetEnvironment:
         with pytest.raises(ValueError):
             PublishMapping.parse("8080")
 
+    def test_records_keep_their_constructors(self):
+        m = PublishMapping(**{"container_addr": "10.4.0.2",
+                              "container_port": 80, "host_addr": "127.0.0.1",
+                              "host_port": 8080})
+        assert m == mapping()
+        with pytest.raises(AttributeError):
+            m.host_port = 1  # immutable
+        assert SwitchDecision.IGNORE == SwitchDecision("ignore")
+        assert SwitchDecision.SWITCH.new_dest is None
+        assert SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080)
+                              ).spoof_peer is None
+
     def test_is_container_addr(self):
         env = NetEnvironment(container_cidrs=["10.4.0.0/24"])
         assert env.is_container_addr("10.4.0.7")

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from b4ns import notify
+from b4ns.engine import NetEnvironment
 from b4ns.errors import (
     ChannelClosed,
     HandoffFailed,
@@ -30,9 +31,10 @@ from b4ns.notify import (
     NotificationChannel,
     Response,
 )
+from b4ns.supervisor import SupervisorInstance
 from b4ns.sysnr import HOOKED_SYSCALLS
 
-from conftest import run_control, supervise
+from conftest import ShimRun, launch_shim, run_control, supervise
 from fakes import make_event
 
 
@@ -336,6 +338,28 @@ class TestLiveFilter:
         assert names <= set(HOOKED_SYSCALLS)
         # the storm itself (getpid/getppid/urandom reads) never notified
         assert run.sup.counters.events_handled == len(run.sup.audit)
+
+    def test_handoff_completes_when_the_supervisor_binds_late(
+            self, tmp_path, echo_server):
+        """The shim starts first and retries its connect to the handoff
+        socket until the supervisor binds it, here about 100 ms later."""
+        script = [
+            {"op": "socket"},
+            {"op": "connect", "host": echo_server.host, "port": echo_server.port},
+            {"op": "close"},
+        ]
+        handoff = tmp_path / "late.sock"
+        proc = launch_shim(tmp_path, script, name="late", handoff=handoff,
+                           netns="host")
+        time.sleep(0.1)
+        chan = notify.attach(str(handoff), timeout=10)
+        sup = SupervisorInstance(chan, NetEnvironment(
+            container_cidrs=["10.99.0.0/24"], host_loopback_allowed=True))
+        sup.start()
+        run = ShimRun(proc, sup).wait()
+        assert run.result("connect")["ok"], run.stderr
+        assert run.results("done")
+        assert sup.counters.sockets_switched == 1
 
     def test_each_event_handled_exactly_once(self, tmp_path, echo_server):
         script = [
