@@ -84,7 +84,8 @@ def build_notify_filter(hooked_nrs=HOOKED_NRS):
 
     Wrong-arch syscalls are allowed rather than killed: the supervisor is a
     performance aid, not a security boundary, and must never break the target.
-    Every jump is forward, as the kernel's verifier requires.
+    Every jump is forward, as the kernel's verifier requires, and at most
+    255 instructions long, or ValueError.
     """
     nrs = list(hooked_nrs)
     # (code, k, jt, jf) with jump targets as labels, resolved at the end: a
@@ -113,7 +114,10 @@ def build_notify_filter(hooked_nrs=HOOKED_NRS):
         prog.append((BPF_RET, verdict, None, None))
 
     def offset(pc, label):
-        return 0 if label is None else labels[label] - pc - 1
+        off = 0 if label is None else labels[label] - pc - 1
+        if off > 255:  # jt and jf are one byte each
+            raise ValueError(f"jump of {off} at instruction {pc} exceeds 255")
+        return off
 
     return [SockFilter(code, offset(pc, jt), offset(pc, jf), k)
             for pc, (code, k, jt, jf) in enumerate(prog)]

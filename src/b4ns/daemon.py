@@ -126,14 +126,22 @@ class ManagedInstance:
     def _run(self):
         spec = self.spec
         try:
+            # built before the handoff: past it, a failure would leave the
+            # target blocked in its first hooked syscall
+            env = NetEnvironment(
+                container_cidrs=spec.container_cidrs,
+                published_ports=spec.publish,
+                host_loopback_allowed=spec.host_loopback_allowed,
+            )
+        except (ValueError, TypeError, AttributeError) as e:
+            # a spec built in code: from_dict checks its own
+            self._failed(f"{type(e).__name__}: {e}")
+            return
+        try:
             chan = notify.attach(spec.seccomp_handoff_path,
                                  timeout=self.attach_timeout)
         except (HandoffFailed, UnsupportedKernel, OSError) as e:
-            with self._lock:
-                self._attaching = False
-                if self.state == "starting":  # a stopped one stays stopped
-                    self.state = "failed"
-                    self.error = f"AttachFailed: {e}"
+            self._failed(f"AttachFailed: {e}")
             return
         with self._lock:
             self._attaching = False
@@ -160,11 +168,6 @@ class ManagedInstance:
             for m in spec.publish:
                 self.publisher.publish(m)
 
-        env = NetEnvironment(
-            container_cidrs=spec.container_cidrs,
-            published_ports=spec.publish,
-            host_loopback_allowed=spec.host_loopback_allowed,
-        )
         sup = SupervisorInstance(
             chan, env, probes=probes,
             multinode=self.mirror if spec.multinode_enabled else None)
@@ -181,6 +184,13 @@ class ManagedInstance:
                 if self.state == "running":
                     self.state = "stopped"
         self._cleanup()
+
+    def _failed(self, error):
+        with self._lock:
+            self._attaching = False
+            if self.state == "starting":  # a stopped one stays stopped
+                self.state = "failed"
+                self.error = error
 
     def _cleanup(self):
         if self.probe_cache is not None:

@@ -7,8 +7,9 @@ On every Connection-class syscall the engine decides between:
   replay recorded options, bind it to the host mapping (bind only), and
   inject it under the target's fd number;
 - rewrite: destination is another sandbox's published port that is already
-  switched -- additionally rewrite the destination sockaddr in target
-  memory to the host mapping and remember the original peer for spoofing;
+  switched -- additionally connect the host socket to the host mapping
+  here, answer the target's connect with the result and remember the
+  original peer for spoofing;
 - ignore:  stay on the in-namespace path (always the safe fallback).
 
 ``execute_switch`` runs both as one transaction with one rollback path.  The
@@ -119,7 +120,7 @@ class SwitchDecision(namedtuple("SwitchDecision",
                                 "verdict new_dest spoof_peer",
                                 defaults=(None, None))):
     """verdict: "switch" | "ignore" | "rewrite"; new_dest: the host
-    (addr, port) to rewrite or bind to; spoof_peer: the original
+    (addr, port) to connect or bind to; spoof_peer: the original
     (addr, port), for getpeername."""
 
     __slots__ = ()
@@ -176,9 +177,9 @@ _MAX_ADDRLEN = 128
 
 
 def parse_connection_args(mem, event):
-    """Decode the (fd, sockaddr) of a connect/bind event from target memory.
+    """Decode the sockaddr of a connect/bind event from target memory.
 
-    Returns (raw_bytes, family, addr, port); raises MemFault/TargetGone.
+    Returns (family, addr, port); raises MemFault/TargetGone.
     """
     # addrlen is an int to the kernel, as to the filter: the upper half of
     # the register is ignored, and move_addr_to_kernel rejects a length
@@ -186,67 +187,64 @@ def parse_connection_args(mem, event):
     addr_ptr, addrlen = event.args[1], event.args[2] & 0xFFFFFFFF
     if addr_ptr == 0 or not 0 < addrlen <= _MAX_ADDRLEN:
         raise MemFault("bad sockaddr pointer or length")
-    raw = mem.read(event.pid, addr_ptr, addrlen)
-    family, addr, port = parse_sockaddr(raw)
-    return raw, family, addr, port
+    return parse_sockaddr(mem.read(event.pid, addr_ptr, addrlen))
 
 
-def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
+def execute_switch(event, rec, decision, chan, mem, registry, dup):
     """Carry out a switch/rewrite verdict for a connect or bind as one
     fail-closed transaction: replay the options recorded in ``rec`` (None
     for a socket without a record) onto a host socket, copy the copied ones
     from ``dup`` (the caller's duplicate of the target's fd, which the
-    caller closes), bind it to the host endpoint (bind) or rewrite the
-    sockaddr and validate the cookie (rewrite), copy the target fd's flags
-    onto the host socket where they differ from its own and inject it under
-    the target's fd number.  ``raw`` is the sockaddr as
-    ``parse_connection_args`` read it; any failure before the injection
-    restores the rewritten bytes from it.  The host socket is closed on
-    every path before this returns.
+    caller closes), bind it to the host endpoint (bind) or connect it to
+    the host endpoint without blocking (rewrite), copy the target fd's
+    flags onto the host socket where they differ from its own and inject it
+    under the target's fd number.  Target memory is only read.  The host
+    socket is closed on every path before this returns.
 
     Returns the response for a switch: success for a bind (the injected
     socket is already bound and would refuse the original bind), continue
-    otherwise; None on rollback, for which the original syscall continues
-    unchanged.
+    for a plain connect, and for a rewrite the result of its connect; None
+    on rollback, for which the original syscall continues unchanged.
     """
     host_sock = None
     is_bind = decision.verdict == "switch" and decision.new_dest is not None
-    addr_ptr = event.args[1]
-    saved = None  # original sockaddr bytes under a rewrite not yet injected
+    rewrite = decision.verdict == "rewrite"
+    # a rewrite's own connect must not block the supervisor
+    own_flags = _FRESH_FLAGS | os.O_NONBLOCK if rewrite else _FRESH_FLAGS
     try:
-        host_sock = _socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        host_sock = _socket.socket(socket.AF_INET, socket.SOCK_STREAM | (
+            socket.SOCK_NONBLOCK if rewrite else 0))
         replay_options(rec, host_sock)
         copy_options(dup.socket(), host_sock)
-        if decision.verdict == "rewrite":
-            new_raw = pack_sockaddr_in(*decision.new_dest)
-            if len(new_raw) > len(raw):
-                return None  # never grow the target's sockaddr buffer
-            saved = raw[: len(new_raw)]
-            mem.write(event.pid, addr_ptr, new_raw)
-            # the target must still be waiting in the syscall whose memory
-            # was just written, not in a later one at the same address
-            if not chan.validate(event):
-                return None
-        elif is_bind:
+        if is_bind:
             host_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             host_sock.bind(decision.new_dest)
         flags = mem.fd_flags(event.pid, event.fd_arg)
-        if flags & ~os.O_CLOEXEC != _FRESH_FLAGS:
+        response = Response.success(0) if is_bind else Response.cont()
+        if rewrite:
+            # once connecting, the continued connect ignores the target's
+            # sockaddr and waits out the handshake as the kernel would,
+            # timeouts and signals included; anything else is answered
+            # here (0: connected, or deferred to the first send)
+            err = host_sock.connect_ex(decision.new_dest)
+            if err != errno.EINPROGRESS or flags & os.O_NONBLOCK:
+                response = (Response.failure(err) if err
+                            else Response.success(0))
+        if flags & ~os.O_CLOEXEC != own_flags:
             fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
         if rec is None and decision.spoof_peer is not None:
             rec = SocketRecord(event.pid, event.fd_arg, SocketStatus.TRACKABLE)
         # only a record the registry keeps needs the injected socket's inode
         inode = (socket_inode(host_sock.fileno()) if rec is not None
                  and must_keep(rec, decision.spoof_peer) else None)
-        # with nothing written, no validate: ADDFD itself fails with ENOENT
-        # once the notification is no longer pending (seccomp_unotify(2))
+        # nothing written, no validate: ADDFD itself fails with ENOENT once
+        # the notification is no longer pending (seccomp_unotify(2))
         chan.inject_fd(event, host_sock.fileno(), event.fd_arg,
                        cloexec=bool(flags & os.O_CLOEXEC))
-        saved = None  # injected: the rewrite stands
         if rec is not None:
             registry.mark_switched(rec, spoofed_peer=decision.spoof_peer,
                                    inode=inode)
-        return Response.success(0) if is_bind else Response.cont()
+        return response
     except ReplayFailed as e:
         log.warning("option replay failed on (%d,%d): %s; staying unswitched",
                     event.pid, event.fd_arg, e)
@@ -258,11 +256,6 @@ def execute_switch(event, rec, decision, raw, chan, mem, registry, dup):
                  event.fd_arg, e)
         return None
     finally:
-        if saved is not None:
-            try:
-                mem.write(event.pid, addr_ptr, saved)
-            except (OSError, B4nsError):
-                pass
         if host_sock is not None:
             host_sock.close()
 

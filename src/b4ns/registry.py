@@ -1,5 +1,5 @@
-"""Per-(process, fd) socket registry, the switchability probe and the
-seven-class syscall taxonomy.
+"""Per-(process, fd) socket registry, the switchability probe, the check
+for a host socket a switch injected, and the seven-class syscall taxonomy.
 
 Whether a socket can be switched is read from the live socket (``switchable``)
 at every connect and bind, so a record holds only what the kernel cannot
@@ -16,6 +16,7 @@ the kernel at switch time.
 
 import enum
 import functools
+import os
 import socket
 import threading
 
@@ -27,6 +28,10 @@ from .sysnr import COPIED_OPTIONS, UNHOOKED_IOCTLS  # noqa: F401
 
 # tcp_info.tcpi_state of a socket neither connected, connecting nor listening
 TCP_CLOSE = 7
+# a socket's network namespace, as a cookie; unlike SIOCGSKNS it needs no
+# CAP_NET_ADMIN over that namespace, which a rootless supervisor lacks
+# over the host's
+SO_NETNS_COOKIE = 71
 _UNBOUND = ("0.0.0.0", 0)
 # options a record holds; one more marks its socket non-switchable
 MAX_OPTIONS = 64
@@ -92,6 +97,35 @@ def switchable(dup):
                                     1)[0] == TCP_CLOSE
                 and sock.getsockname() == _UNBOUND)
     except OSError:  # not a socket, or no TCP_INFO: not TCP
+        return False
+
+
+@functools.cache
+def _own_netns():
+    """(SO_NETNS_COOKIE, nsfs (dev, inode)) of this process's network
+    namespace, where the host sockets it injects live."""
+    with socket.socket() as s:
+        cookie = s.getsockopt(socket.SOL_SOCKET, SO_NETNS_COOKIE, 8)
+    st = os.stat("/proc/self/ns/net")
+    return cookie, (st.st_dev, st.st_ino)
+
+
+def injected(dup, pid, mem):
+    """True if ``dup`` (a held duplicate of process ``pid``'s fd) holds a
+    host socket that could connect or bind again: an AF_INET TCP socket in
+    TCP_CLOSE, living in this process's network namespace while ``pid``
+    lives in another (``mem.netns``).  Only a switch puts one there, and
+    what it does next happens in the host's network."""
+    cookie, netns = _own_netns()
+    try:
+        sock = dup.socket()
+        return (sock.family == socket.AF_INET
+                and sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_INFO,
+                                    1)[0] == TCP_CLOSE
+                and sock.getsockopt(socket.SOL_SOCKET, SO_NETNS_COOKIE,
+                                    8) == cookie
+                and mem.netns(pid) != netns)
+    except OSError:  # not a TCP socket, or the process has exited
         return False
 
 

@@ -1,6 +1,7 @@
 """Per-container supervisor: the event loop joining the notification
 channel, socket registry, switch engine, probes and multi-node cache."""
 
+import errno
 import logging
 import threading
 
@@ -18,6 +19,7 @@ from .registry import (
     SocketRegistry,
     SocketStatus,
     classify_syscall,
+    injected,
     switchable,
     SyscallClass,
 )
@@ -186,18 +188,23 @@ class SupervisorInstance:
         cannot tell.  None is created here: a fresh socket is switched with
         ``rec`` None, and gets a record only if the switch leaves one to
         keep.  One duplicate serves the identity check, the probe and the
-        option copy; it is closed before the response."""
+        option copy; it is closed before the response.  A connect or bind
+        on a host socket injected earlier, and in TCP_CLOSE again, goes on
+        only where policy would switch it: from the host's network it would
+        reach, or listen where, the sandbox cannot."""
         try:
             dup = self.mem.acquire_fd(event.pid, event.fd_arg)
         except FdNotAvailable:  # the fd is not open, or its process exited
             return "continue", Response.cont()
         try:
             rec = self.registry.lookup(event.pid, event.fd_arg, self.mem, dup)
-            if ((rec is not None and rec.status is not SocketStatus.TRACKABLE)
-                    or not switchable(dup)):
+            fresh = ((rec is None or rec.status is SocketStatus.TRACKABLE)
+                     and switchable(dup))
+            host = not fresh and injected(dup, event.pid, self.mem)
+            if not fresh and not host:
                 return "continue", Response.cont()
             try:
-                raw, family, addr, port = engine.parse_connection_args(
+                family, addr, port = engine.parse_connection_args(
                     self.mem, event)
             except (MemFault, TargetGone):
                 return "continue", Response.cont()
@@ -207,11 +214,18 @@ class SupervisorInstance:
             decision = engine.decide(
                 (name, family, addr, port), self.env,
                 probes=self.probes, multinode=self.multinode)
+            if decision.verdict == "ignore" and fresh:
+                # a host socket never bound, as a rewrite whose connect
+                # failed at once leaves it
+                host = injected(dup, event.pid, self.mem)
+            if host:
+                if decision.verdict == "switch":
+                    return "continue", Response.cont()
+                return "denied", Response.failure(errno.EPERM)
             if decision.verdict == "ignore":
                 return "ignore", Response.cont()
-            response = engine.execute_switch(event, rec, decision, raw,
-                                             self.chan, self.mem,
-                                             self.registry, dup)
+            response = engine.execute_switch(event, rec, decision, self.chan,
+                                             self.mem, self.registry, dup)
         finally:
             dup.close()
         if response is None:

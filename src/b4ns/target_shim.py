@@ -157,11 +157,22 @@ class ScriptRunner:
 
     def op_connect_raw(self, op):
         """connect() with an AF_INET sockaddr, whatever the socket's family;
-        op["len"] overrides the addrlen passed with it."""
+        op["family"] overrides its family field and op["len"] the addrlen
+        passed with it.  Emits the sockaddr buffer, as hex, after the
+        call."""
         raw = pack_sockaddr_in(op["host"], op["port"])
-        r = _libc.connect(self.sock(op).fileno(), raw, op.get("len", len(raw)))
+        buf = ctypes.create_string_buffer(raw, len(raw))
+        struct.pack_into("<H", buf, 0, op.get("family", socket.AF_INET))
+        r = _libc.connect(self.sock(op).fileno(), buf, op.get("len", len(raw)))
         self.emit(op="connect_raw", ok=r == 0,
-                  err=ctypes.get_errno() if r else 0)
+                  err=ctypes.get_errno() if r else 0, sockaddr=buf.raw.hex())
+
+    def op_await_connect(self, op):
+        """Wait until a non-blocking connect completes; emit SO_ERROR."""
+        s = self.sock(op)
+        select.select([], [s], [], op.get("timeout", 10.0))
+        self.emit(op="await_connect",
+                  err=s.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR))
 
     def op_bind(self, op):
         s = self.sock(op)

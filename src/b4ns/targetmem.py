@@ -310,6 +310,12 @@ class MemService:
             return None
         return int(link[8:-1]) if link.startswith("socket:[") else None
 
+    def netns(self, pid):
+        """(device, inode) of the network namespace of process ``pid``, a
+        thread-group id, as /proc/<pid>/ns/net names it."""
+        st = os.stat(f"/proc/{pid}/ns/net")
+        return st.st_dev, st.st_ino
+
     def acquire_fd(self, pid, remote_fd):
         """Duplicate the target's fd into this process via pidfd_getfd(2).
 

@@ -81,6 +81,11 @@ class FakeMem:
         """Each fake pid is a process of one thread."""
         return pid
 
+    def netns(self, pid):
+        """Each fake process shares this one's network namespace."""
+        st = os.stat("/proc/self/ns/net")
+        return st.st_dev, st.st_ino
+
     def fd_flags(self, pid, fd):
         """A fresh socket's flags: read-write, close-on-exec."""
         return os.O_RDWR | os.O_CLOEXEC

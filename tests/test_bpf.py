@@ -201,6 +201,12 @@ def test_jumps_are_forward_and_land_inside():
     assert PROG[-1].code == BPF_RET
 
 
+def test_a_jump_longer_than_a_byte_is_refused():
+    # jt and jf are one byte: a longer jump would wrap to another target
+    with pytest.raises(ValueError, match="exceeds 255"):
+        build_notify_filter(range(460))
+
+
 class TestSupervisorAgrees:
     """A fcntl/ioctl the filter would pass can still arrive through a filter
     an older runtime installed; the supervisor must treat it as harmless."""

@@ -1,6 +1,7 @@
 """Daemon lifecycle and its management API over the unix socket."""
 
 import json
+import os
 import signal
 import threading
 import time
@@ -279,6 +280,22 @@ class TestDaemonDirect:
         st = inst.status()
         assert st.state == "failed"
         assert "AttachFailed" in st.error
+
+    def test_spec_it_cannot_run_fails_before_the_handoff(self, tmp_path):
+        # built in code, so from_dict never checked it
+        spec = ContainerSpec("bad", str(tmp_path / "bad.sock"), publish=[
+            PublishMapping("0.0.0.0", 80, "0.0.0.0", 80)])
+        inst = ManagedInstance(spec, attach_timeout=30)
+        inst.start()
+        try:
+            inst._thread.join(5)
+            st = inst.status()
+            assert (st.state, inst._thread.is_alive()) == ("failed", False)
+            assert "host port 80" in st.error
+            # nothing listens: no runtime hands off to a dead instance
+            assert not os.path.exists(spec.seccomp_handoff_path)
+        finally:
+            inst.stop()
 
     def test_stop_during_attach_returns_at_once(self, tmp_path):
         spec = ContainerSpec("t2", str(tmp_path / "never.sock"))

@@ -2,11 +2,14 @@
 against in-memory fakes; execution paths are covered end to end in
 test_switch_e2e)."""
 
+import _socket
 import errno
+import fcntl
 import ipaddress
 import os
 import socket
 import struct
+import types
 
 import pytest
 from hypothesis import example, given
@@ -271,9 +274,8 @@ class TestParseConnectionArgs:
         raw = pack_sockaddr_in("10.4.0.2", 80)
         ptr = mem.place(1000, 0x40, raw)
         ev = make_event(pid=1000, args=(3, ptr, len(raw)))
-        got_raw, family, addr, port = engine.parse_connection_args(mem, ev)
-        assert got_raw == raw
-        assert (family, addr, port) == (socket.AF_INET, "10.4.0.2", 80)
+        got = engine.parse_connection_args(mem, ev)
+        assert got == (socket.AF_INET, "10.4.0.2", 80)
 
     def test_null_pointer_faults(self):
         from b4ns.errors import MemFault
@@ -299,7 +301,7 @@ class TestParseConnectionArgs:
                                         addrlen))
         if ok:
             got = engine.parse_connection_args(mem, ev)
-            assert got[1:] == (socket.AF_INET, "10.4.0.2", 80)
+            assert got == (socket.AF_INET, "10.4.0.2", 80)
         else:
             with pytest.raises(MemFault):
                 engine.parse_connection_args(mem, ev)
@@ -393,56 +395,18 @@ class TestExecuteSwitchRollback:
     def _event_with_sockaddr(self, mem, addr="10.4.0.2", port=80):
         raw = pack_sockaddr_in(addr, port)
         ptr = mem.place(1000, 0x40, raw)
-        return make_event(pid=1000, args=(3, ptr, len(raw))), ptr, raw
-
-    def test_rewrite_restores_bytes_on_stale_cookie(self, dup):
-        from b4ns.registry import SocketRegistry
-
-        mem = FakeMem()
-        chan = FakeChannel()
-        chan.invalid_after = 0
-        ev, ptr, orig = self._event_with_sockaddr(mem)
-        rec = trackable()
-        decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
-                                  spoof_peer=("10.4.0.2", 80))
-        out = engine.execute_switch(ev, rec, decision, orig, chan, mem,
-                                    SocketRegistry(), dup)
-        assert out is None  # the caller answers continue
-        assert chan.responses == []
-        assert chan.injections == []
-        assert mem.peek(1000, ptr, len(orig)) == orig  # bytes restored
-        assert rec.status is SocketStatus.TRACKABLE  # no half-switched state
-
-    def test_rewrite_restores_from_the_bytes_already_read(self, dup):
-        from b4ns.registry import SocketRegistry
-
-        mem = FakeMem()
-        chan = FakeChannel()
-        chan.invalid_after = 0
-        ev, _, orig = self._event_with_sockaddr(mem)
-
-        def no_second_read(*args):
-            raise AssertionError("sockaddr read twice")
-
-        mem.read = no_second_read
-        decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
-                                  spoof_peer=("10.4.0.2", 80))
-        out = engine.execute_switch(ev, trackable(), decision, orig, chan, mem,
-                                    SocketRegistry(), dup)
-        assert out is None
-        assert [w[2] for w in mem.writes] == [
-            pack_sockaddr_in("127.0.0.1", 8080), orig]
+        return make_event(pid=1000, args=(3, ptr, len(raw)))
 
     def test_replay_failure_rolls_back_before_any_injection(self, dup):
         from b4ns.registry import OptionEvent, SocketRegistry
 
         mem = FakeMem()
         chan = FakeChannel()
-        ev, _, raw = self._event_with_sockaddr(mem)
+        ev = self._event_with_sockaddr(mem)
         rec = trackable()
         rec.add_option(OptionEvent("setsockopt", (9999, 9999, b"\x01")))
-        out = engine.execute_switch(ev, rec, SwitchDecision("switch"), raw,
-                                    chan, mem, SocketRegistry(), dup)
+        out = engine.execute_switch(ev, rec, SwitchDecision("switch"), chan,
+                                    mem, SocketRegistry(), dup)
         assert out is None
         assert chan.injections == []
         assert chan.responses == []
@@ -457,13 +421,13 @@ class TestExecuteSwitchRollback:
             busy.listen(1)
             mem = FakeMem()
             chan = FakeChannel()
-            ev, _, raw = self._event_with_sockaddr(mem, "0.0.0.0", 80)
+            ev = self._event_with_sockaddr(mem, "0.0.0.0", 80)
             rec = trackable()
             decision = decide(("bind", socket.AF_INET, "0.0.0.0", 80),
                               NetEnvironment(published_ports=[mapping(
                                   hport=busy.getsockname()[1])]))
             fds_before = len(os.listdir("/proc/self/fd"))
-            out = engine.execute_switch(ev, rec, decision, raw, chan, mem,
+            out = engine.execute_switch(ev, rec, decision, chan, mem,
                                         SocketRegistry(), dup)
             assert len(os.listdir("/proc/self/fd")) == fds_before
         finally:
@@ -476,12 +440,12 @@ class TestExecuteSwitchRollback:
 
 class TestExecuteSwitchWithoutRecord:
     """A fresh socket has no record: the switch builds one only to keep a
-    spoofed peer, and validates only after writing target memory."""
+    spoofed peer, and never validates: it writes no target memory."""
 
     def _event(self, mem):
         raw = pack_sockaddr_in("10.4.0.2", 80)
         return make_event(pid=1000, args=(3, mem.place(1000, 0x40, raw),
-                                          len(raw))), raw
+                                          len(raw)))
 
     def test_plain_switch_keeps_no_record(self, monkeypatch, dup):
         from b4ns.registry import SocketRegistry
@@ -491,9 +455,9 @@ class TestExecuteSwitchWithoutRecord:
 
         monkeypatch.setattr(engine, "socket_inode", no_fstat)
         mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
-        ev, raw = self._event(mem)
-        out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, raw,
-                                    chan, mem, reg, dup)
+        ev = self._event(mem)
+        out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, chan,
+                                    mem, reg, dup)
         assert out.kind == "continue"
         assert [i[2:] for i in chan.injections] == [(3, True)]
         # nothing written: ADDFD alone fails on a notification gone stale
@@ -506,13 +470,12 @@ class TestExecuteSwitchWithoutRecord:
         from b4ns.registry import SocketRegistry
 
         mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
-        ev, raw = self._event(mem)
+        ev = self._event(mem)
         decision = SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080),
                                   spoof_peer=("10.4.0.2", 80))
-        out = engine.execute_switch(ev, None, decision, raw, chan, mem, reg,
-                                    dup)
+        out = engine.execute_switch(ev, None, decision, chan, mem, reg, dup)
         assert out.kind == "continue"
-        assert chan.validate_calls == 1  # after the write
+        assert chan.validate_calls == 0  # nothing written
         rec = reg.get(1000, 3)
         assert rec.status is SocketStatus.SWITCHED
         assert rec.spoofed_peer == ("10.4.0.2", 80)
@@ -527,10 +490,83 @@ class TestExecuteSwitchWithoutRecord:
 
         monkeypatch.setattr(engine, "replay_options", fail)
         mem, chan, reg = FakeMem(), FakeChannel(), SocketRegistry()
-        ev, raw = self._event(mem)
-        out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, raw,
-                                    chan, mem, reg, dup)
+        ev = self._event(mem)
+        out = engine.execute_switch(ev, None, SwitchDecision.SWITCH, chan,
+                                    mem, reg, dup)
         assert out is None
         assert chan.injections == []
         assert reg.snapshot() == []
         assert chan.responses == []
+
+
+class _ConnectsAtOnce(_socket.socket):
+    """A host socket whose connect completes (or is deferred, as with
+    TCP_FASTOPEN_CONNECT) inside the call."""
+
+    def connect_ex(self, address):
+        return 0
+
+
+class TestRewriteAnswer:
+    """A rewrite connects the host socket itself, without blocking, injects
+    it and answers with that connect's result; it writes no target memory.
+    Only a connect in progress on a blocking target continues."""
+
+    @pytest.fixture
+    def listener(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            s.listen(1)
+            yield s.getsockname()
+
+    def _rewrite(self, dup, dest, target_flags):
+        from b4ns.registry import SocketRegistry
+
+        mem, reg = FakeMem(), SocketRegistry()
+        mem.fd_flags = lambda pid, fd: target_flags
+        injected_flags = []
+
+        class Chan(FakeChannel):
+            def inject_fd(self, event, host_fd, target_fd, cloexec=False):
+                injected_flags.append(fcntl.fcntl(host_fd, fcntl.F_GETFL))
+                return super().inject_fd(event, host_fd, target_fd, cloexec)
+
+        chan = Chan()
+        raw = pack_sockaddr_in("10.4.0.2", 80)
+        ev = make_event(pid=1000, args=(3, mem.place(1000, 0x40, raw),
+                                        len(raw)))
+        out = engine.execute_switch(
+            ev, None, SwitchDecision("rewrite", new_dest=dest,
+                                     spoof_peer=("10.4.0.2", 80)),
+            chan, mem, reg, dup)
+        # injected with the target's flags; memory read, never written
+        assert injected_flags == [target_flags & ~os.O_CLOEXEC]
+        assert mem.writes == [] and chan.validate_calls == 0
+        assert mem.peek(1000, ev.args[1], len(raw)) == raw
+        assert reg.get(1000, 3).spoofed_peer == ("10.4.0.2", 80)
+        return out
+
+    def test_in_progress_on_a_blocking_target_continues(self, dup, listener):
+        out = self._rewrite(dup, listener, os.O_RDWR | os.O_CLOEXEC)
+        assert out.kind == "continue"
+
+    def test_in_progress_on_a_nonblocking_target_is_einprogress(
+            self, dup, listener):
+        out = self._rewrite(dup, listener, os.O_RDWR | os.O_NONBLOCK)
+        assert (out.kind, out.err) == ("error", errno.EINPROGRESS)
+
+    @pytest.mark.parametrize("flags", [os.O_RDWR, os.O_RDWR | os.O_NONBLOCK],
+                             ids=["blocking", "nonblocking"])
+    def test_a_connect_done_at_once_is_success(self, monkeypatch, dup,
+                                               listener, flags):
+        monkeypatch.setattr(engine, "_socket",
+                            types.SimpleNamespace(socket=_ConnectsAtOnce))
+        out = self._rewrite(dup, listener, flags)
+        assert (out.kind, out.value) == ("success", 0)
+
+    @pytest.mark.parametrize("flags", [os.O_RDWR, os.O_RDWR | os.O_NONBLOCK],
+                             ids=["blocking", "nonblocking"])
+    def test_an_error_at_once_is_that_error(self, dup, flags):
+        # a broadcast destination fails inside connect, never in progress
+        out = self._rewrite(dup, ("255.255.255.255", 80), flags)
+        assert (out.kind, out.err) == ("error", errno.ENETUNREACH)

@@ -2,6 +2,7 @@
 which events touch the registry, that a number is only decoded for the
 arch it belongs to, and what a connect reads and keeps."""
 
+import errno
 import os
 import socket
 import struct
@@ -222,6 +223,42 @@ def rewritten(sup, srv, busy):
     return connect_event(sup, addr="10.4.0.2", port=80)
 
 
+def in_host_network(sup, srv, busy):
+    """The fd's socket lives in this process's network namespace, as a
+    host socket injected by a switch does, and the target elsewhere."""
+    sup.mem.netns = lambda pid: (0, 0)
+
+
+def host_socket_bound(sup, srv, busy, addr="10.4.0.9"):
+    in_host_network(sup, srv, busy)
+    srv.bind(("127.0.0.1", 0))  # as a switched bind leaves it
+    return connect_event(sup, addr=addr, port=80)  # ignored by default
+
+
+def host_socket_rewritten(sup, srv, busy):
+    return host_socket_bound(sup, srv, busy, addr="10.4.0.2")
+
+
+def host_socket_switched(sup, srv, busy):
+    return host_socket_bound(sup, srv, busy, addr="93.184.216.34")
+
+
+def host_socket_unbound(sup, srv, busy):
+    # as a rewrite whose connect failed at once leaves it
+    in_host_network(sup, srv, busy)
+    return connect_event(sup, addr="10.4.0.9", port=80)
+
+
+def host_socket_bind(sup, srv, busy):
+    in_host_network(sup, srv, busy)
+    with socket.socket() as gone:
+        gone.bind(("127.0.0.1", 0))
+        port = gone.getsockname()[1]
+    # refused: in TCP_CLOSE again, and no longer unbound
+    assert srv.connect_ex(("127.0.0.1", port)) == errno.ECONNREFUSED
+    return connect_event(sup, addr="0.0.0.0", port=8080, name="bind")
+
+
 def published_bind(sup, srv, busy):
     return connect_event(sup, addr="0.0.0.0", port=80, name="bind")
 
@@ -252,9 +289,16 @@ class TestConnection:
         (rewritten, "continue", "rewrite", 1, 0),
         (published_bind, "success", "switch", 1, 0),
         (bind_to_busy_host_port, "continue", "rolled_back", 0, 1),
+        (host_socket_bound, "error", "denied", 0, 0),
+        (host_socket_rewritten, "error", "denied", 0, 0),
+        (host_socket_switched, "continue", "continue", 0, 0),
+        (host_socket_unbound, "error", "denied", 0, 0),
+        (host_socket_bind, "error", "denied", 0, 0),
     ], ids=["fd-gone", "non-trackable", "not-switchable",
             "unreadable-sockaddr", "stale-cookie", "ignore", "switch",
-            "rewrite", "bind", "rollback"])
+            "rewrite", "bind", "rollback", "host-socket-ignore",
+            "host-socket-rewrite", "host-socket-switch",
+            "host-socket-unbound", "host-socket-bind"])
     def test_answered_once(self, arrange, kind, action, switches, rollbacks):
         sup, srv = supervisor(self.ENV)
         with srv, socket.socket() as busy:

@@ -22,6 +22,7 @@ import pytest
 from b4ns import cli
 from b4ns.engine import NetEnvironment, PublishMapping
 from b4ns.errors import ReplayFailed
+from b4ns.sockaddr import pack_sockaddr_in
 from b4ns.sysnr import NR
 
 from conftest import ShimRun, launch_shim, run_control, supervise
@@ -666,6 +667,174 @@ class TestRewriteAndSpoof:
         peers = [(r["addr"], r["port"]) for r in cli.results("getpeername")]
         assert peers == [("10.4.0.2", 80),
                          (echo_server.host, echo_server.port)]
+
+
+def to_host(host, port):
+    """10.4.0.2:80 published on the host's ``host``:``port``."""
+    return NetEnvironment(
+        container_cidrs=["10.4.0.0/24"],
+        published_ports=[PublishMapping("10.4.0.2", 80, host, port)])
+
+
+def free_port():
+    """A host loopback port nothing listens on."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+EITHER_MODE = pytest.mark.parametrize("flags", [0, socket.SOCK_NONBLOCK],
+                                      ids=["blocking", "nonblocking"])
+
+
+class TestRewriteLeavesMemoryAlone:
+    """A rewrite connects the host socket in the supervisor and answers
+    with the result: the target's sockaddr buffer keeps the bytes it
+    passed, and the outcome is what an unsupervised connect gives."""
+
+    @EITHER_MODE
+    def test_rewritten_connect(self, tmp_path, echo_server, flags):
+        script = [{"op": "socket", "flags": flags},
+                  {"op": "connect_raw", "host": "10.4.0.2", "port": 80},
+                  {"op": "await_connect"},
+                  {"op": "echo_roundtrip", "bytes": 1 << 16},
+                  {"op": "getpeername"},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script,
+                        env=to_host(echo_server.host, echo_server.port))
+        run.wait()
+        connect = run.result("connect_raw")
+        assert connect["sockaddr"] == pack_sockaddr_in("10.4.0.2", 80).hex()
+        assert connect["err"] == (errno.EINPROGRESS if flags else 0)
+        assert run.result("await_connect")["err"] == 0
+        rt = run.result("echo_roundtrip")
+        assert rt["sent"] == rt["received"] == 1 << 16
+        assert rt["sent_digest"] == rt["recv_digest"]
+        peer = run.result("getpeername")
+        assert (peer["addr"], peer["port"]) == ("10.4.0.2", 80)
+        assert echo_server.connections == 1
+        assert run.sup.counters.sockets_switched == 1
+
+    @EITHER_MODE
+    def test_nothing_listening_on_the_host_side(self, tmp_path, flags):
+        port = free_port()
+        connect = {"op": "connect_raw", "host": "10.4.0.2", "port": 80}
+        script = [{"op": "socket", "flags": flags}, connect,
+                  {"op": "await_connect"}, {"op": "close"}]
+        run = supervise(tmp_path, script, env=to_host("127.0.0.1", port))
+        run.wait()
+        ctl = run_control(tmp_path, [{"op": "socket", "flags": flags},
+                                     dict(connect, host="127.0.0.1",
+                                          port=port),
+                                     {"op": "await_connect"}],
+                          netns="host")
+        refused = errno.ECONNREFUSED
+        assert ctl.result("connect_raw")["err"] == (
+            errno.EINPROGRESS if flags else refused)
+        assert run.result("connect_raw")["err"] == ctl.result(
+            "connect_raw")["err"]
+        assert run.result("connect_raw")["sockaddr"] == pack_sockaddr_in(
+            "10.4.0.2", 80).hex()
+        if flags:
+            assert run.result("await_connect")["err"] == refused
+            assert ctl.result("await_connect")["err"] == refused
+
+
+class TestInjectedSocketStaysConfined:
+    """A host socket the supervisor injected lives in the host's network.
+    In TCP_CLOSE again it may connect or bind only where policy would
+    switch it; anything else gets EPERM, or it would reach, or listen
+    where, the sandbox cannot."""
+
+    def test_published_bind_cannot_reach_host_loopback(self, tmp_path,
+                                                      echo_server):
+        script = [{"op": "socket"},
+                  {"op": "bind", "host": "10.4.0.2", "port": 80},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "getpeername"},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script, env=PUBLISH_ENV(18092))
+        run.wait()
+        ctl = run_control(tmp_path, script)
+        assert ctl.result("connect")["err"] == errno.ENETUNREACH
+        assert run.result("bind")["ok"]
+        assert run.result("connect")["err"] == errno.EPERM
+        assert not run.result("getpeername")["ok"]
+        assert echo_server.connections == 0
+
+    def test_published_bind_still_connects_where_a_switch_would(
+            self, tmp_path, echo_server):
+        env = NetEnvironment(
+            container_cidrs=["10.4.0.0/24"], host_loopback_allowed=True,
+            published_ports=[PublishMapping("10.4.0.2", 80, "127.0.0.1",
+                                            18093)])
+        run = supervise(tmp_path, echo_script(
+            echo_server.host, echo_server.port, 4096,
+            extra_pre=[{"op": "bind", "host": "10.4.0.2", "port": 80}]),
+            env=env)
+        run.wait()
+        assert run.result("connect")["ok"]
+        rt = run.result("echo_roundtrip")
+        assert rt["sent_digest"] == rt["recv_digest"]
+
+    def test_disconnected_socket_cannot_reach_host_loopback(self, tmp_path,
+                                                           echo_server):
+        script = [{"op": "socket"},
+                  {"op": "connect", "host": "10.4.0.2", "port": 80},
+                  # AF_UNSPEC: back to TCP_CLOSE, still a host socket
+                  {"op": "connect_raw", "host": "0.0.0.0", "port": 0,
+                   "family": socket.AF_UNSPEC},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script,
+                        env=to_host(echo_server.host, echo_server.port))
+        run.wait()
+        assert [(r["ok"], r["err"]) for r in run.results("connect")] == [
+            (True, 0), (False, errno.EPERM)]
+        assert run.result("connect_raw")["ok"]
+
+    def test_unroutable_rewrite_cannot_reach_host_loopback(self, tmp_path,
+                                                           echo_server):
+        # the rewrite's connect fails at once: the host socket stays unbound
+        script = [{"op": "socket"},
+                  {"op": "connect", "host": "10.4.0.2", "port": 80},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script,
+                        env=to_host("255.255.255.255", 8080))
+        run.wait()
+        assert [r["err"] for r in run.results("connect")] == [
+            errno.ENETUNREACH, errno.EPERM]
+        assert echo_server.connections == 0
+
+    def test_refused_rewrite_cannot_listen_on_the_host(self, tmp_path):
+        port = free_port()
+        script = [{"op": "socket"},
+                  {"op": "connect", "host": "10.4.0.2", "port": 80},
+                  {"op": "bind", "host": "0.0.0.0", "port": port},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script, env=to_host("127.0.0.1",
+                                                      free_port()))
+        run.wait()
+        assert run.result("connect")["err"] == errno.ECONNREFUSED
+        # unpublished: a listener there would take the host's connections
+        assert run.result("bind")["err"] == errno.EPERM
+
+    def test_target_in_the_host_network_is_left_alone(self, tmp_path,
+                                                      echo_server):
+        # its sockets live in the supervisor's namespace from the start
+        script = [{"op": "socket"},
+                  {"op": "bind", "host": "127.0.0.1", "port": 0},
+                  {"op": "connect", "host": echo_server.host,
+                   "port": echo_server.port},
+                  {"op": "close"}]
+        run = supervise(tmp_path, script, netns="host",
+                        env=NetEnvironment(container_cidrs=["10.4.0.0/24"]))
+        run.wait()
+        assert run.result("connect")["ok"]
 
 
 class TestRollback:
