@@ -22,6 +22,7 @@ peer sees FIN when the target exits.
 import _socket
 import errno
 import fcntl
+import functools
 import ipaddress
 import logging
 import os
@@ -48,6 +49,8 @@ from .sockaddr import (
 # a fresh socket's file flags, close-on-exec aside: a target fd with these
 # needs no F_SETFL on the host socket
 _FRESH_FLAGS = os.O_RDWR
+# unlike getpeername, names the peer of a connecting or closed socket too
+SO_PEERNAME = 28
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +72,7 @@ class PublishMapping(namedtuple(
 
 class NetEnvironment:
     def __init__(self, container_cidrs=(), published_ports=(),
-                 host_loopback_allowed=False, unprivileged=True):
+                 host_loopback_allowed=False):
         # each CIDR an ip_network or its text
         self.container_cidrs = [
             ipaddress.ip_network(c) if isinstance(c, str) else c
@@ -77,7 +80,6 @@ class NetEnvironment:
         ]
         self.published_ports = list(published_ports)
         self.host_loopback_allowed = host_loopback_allowed
-        self.unprivileged = unprivileged
         for i, a in enumerate(self.container_cidrs):
             for b in self.container_cidrs[i + 1:]:
                 if a.overlaps(b):
@@ -90,7 +92,7 @@ class NetEnvironment:
             if m.container_port in seen:
                 raise ValueError(f"duplicate published container port {m.container_port}")
             seen.add(m.container_port)
-            if self.unprivileged and m.host_port < 1024:
+            if 0 < m.host_port < unprivileged_port_start():
                 raise ValueError(
                     f"host port {m.host_port} not bindable without privileges")
 
@@ -109,6 +111,14 @@ class NetEnvironment:
             if m.container_port == port and (addr is None or m.container_addr == addr):
                 return m
         return None
+
+
+@functools.cache
+def unprivileged_port_start():
+    """The lowest port this network namespace lets a process bind without
+    CAP_NET_BIND_SERVICE, as a rootless supervisor must (read once)."""
+    with open("/proc/sys/net/ipv4/ip_unprivileged_port_start") as f:
+        return int(f.read())
 
 
 def _ipv4(addr):
@@ -206,7 +216,7 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
     for a plain connect, and for a rewrite the result of its connect; None
     on rollback, for which the original syscall continues unchanged.
     """
-    host_sock = None
+    host_sock = host_peer = None
     is_bind = decision.verdict == "switch" and decision.new_dest is not None
     rewrite = decision.verdict == "rewrite"
     # a rewrite's own connect must not block the supervisor
@@ -230,6 +240,10 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
             if err != errno.EINPROGRESS or flags & os.O_NONBLOCK:
                 response = (Response.failure(err) if err
                             else Response.success(0))
+            try:
+                host_peer = _peer_name(host_sock)
+            except OSError:  # the connect failed at once: nothing to spoof
+                pass
         if flags & ~os.O_CLOEXEC != own_flags:
             fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
         if rec is None and decision.spoof_peer is not None:
@@ -243,7 +257,7 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
                        cloexec=bool(flags & os.O_CLOEXEC))
         if rec is not None:
             registry.mark_switched(rec, spoofed_peer=decision.spoof_peer,
-                                   inode=inode)
+                                   inode=inode, host_peer=host_peer)
         return response
     except ReplayFailed as e:
         log.warning("option replay failed on (%d,%d): %s; staying unswitched",
@@ -260,16 +274,25 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
             host_sock.close()
 
 
-def handle_status(event, rec, chan, mem):
-    """The response to a getpeername: spoofed on a switched socket with a
-    rewritten destination, handling its arguments as the kernel's
-    move_addr_to_user does; on any other socket it passes through to the
-    kernel."""
-    if (
-        rec is None
-        or rec.status is not SocketStatus.SWITCHED
-        or rec.spoofed_peer is None
-    ):
+def _peer_name(sock):
+    """(addr, port) of the peer the kernel keeps for ``sock`` from its
+    connect on, until a disconnect (connect with AF_UNSPEC) clears it or
+    another connect replaces it; OSError while there is none."""
+    return parse_sockaddr(sock.getsockopt(
+        socket.SOL_SOCKET, SO_PEERNAME, SOCKADDR_IN_SIZE))[1:]
+
+
+def handle_status(event, rec, dup, chan, mem):
+    """The response to a getpeername: spoofed while the fd holds the socket
+    a rewrite (``rec``) injected, as ``dup`` (a held duplicate of the fd)
+    shows it, and its peer is still the host peer that rewrite chose,
+    handling the arguments as the kernel's move_addr_to_user does.  Any
+    other socket, and one disconnected or connected elsewhere since,
+    passes through to the kernel."""
+    try:
+        if rec is None or rec.host_peer != _peer_name(dup.socket()):
+            return Response.cont()
+    except OSError:  # no peer
         return Response.cont()
     addr_ptr, addrlen_ptr = event.args[1], event.args[2]
     try:

@@ -1,4 +1,4 @@
-"""Per-(process, fd) socket registry, the switchability probe, the check
+"""The per-process socket registry, the switchability probe, the check
 for a host socket a switch injected, and the seven-class syscall taxonomy.
 
 Whether a socket can be switched is read from the live socket (``switchable``)
@@ -6,12 +6,12 @@ at every connect and bind, so a record holds only what the kernel cannot
 tell: the options outside COPIED_OPTIONS, recorded for replay onto the
 host-side socket at switch time; a non-switchable mark (an unreplayable
 ioctl or option, more than MAX_OPTIONS options, or a failed replay); and a
-rewritten connection's spoofed peer.  Creation is never intercepted, so a
-record starts at the first configuration call that names a socket fd; any
-other fd gets none.  Neither is close: a record holds its socket's inode,
-and a record whose fd no longer holds that socket is dropped when the fd is
-next seen.  The copied options and the fd's file status flags are read from
-the kernel at switch time.
+rewritten connection's spoofed peer, with the host peer its rewrite chose.
+Creation is never intercepted, so a record starts at the first
+configuration call that names a socket fd; any other fd gets none.  Neither
+is close: a record holds its socket's inode, and a record whose fd no longer
+holds that socket is dropped when the fd is next seen.  The copied options
+and the fd's file status flags are read from the kernel at switch time.
 """
 
 import enum
@@ -180,7 +180,8 @@ class OptionEvent:
 
 
 class SocketRecord:
-    __slots__ = ("pid", "fd", "status", "options", "spoofed_peer", "inode")
+    __slots__ = ("pid", "fd", "status", "options", "spoofed_peer", "inode",
+                 "host_peer")
 
     def __init__(self, pid, fd, status=SocketStatus.UNKNOWN, options=None,
                  spoofed_peer=None, inode=None):
@@ -190,6 +191,9 @@ class SocketRecord:
         self.options = [] if options is None else options
         self.spoofed_peer = spoofed_peer  # (addr, port)
         self.inode = inode  # of the socket the fd holds; None if none
+        # the (addr, port) a rewrite connected the host socket to, as the
+        # kernel names it; None if that connect failed at once
+        self.host_peer = None
 
     def transition(self, new_status):
         if new_status not in _LEGAL_TRANSITIONS[self.status]:
@@ -210,19 +214,20 @@ class SocketRecord:
 
 
 class SocketRegistry:
-    """Shared map of live socket records, serialized per record.
+    """Live socket records, one table ``{fd: record}`` per process
+    (thread-group id): a process's exit drops its table in one step.
 
-    A coarse lock is enough at the event rates a single supervised container
-    produces; per-record ordering falls out of it.
+    Only the supervisor's loop thread writes, under a coarse lock, and it
+    reads without it; the lock serves the snapshot the API thread takes.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._records = {}
+        self._tables = {}  # tgid -> {fd: SocketRecord}
 
     def get(self, pid, fd):
-        with self._lock:
-            return self._records.get((pid, fd))
+        table = self._tables.get(pid)
+        return table.get(fd) if table else None
 
     def ensure_registered(self, pid, fd, mem):
         """Return the record for (pid, fd), or None if the fd holds no
@@ -233,7 +238,7 @@ class SocketRegistry:
         on_close; a socket seen first gets a TRACKABLE record."""
         inode = mem.fd_inode(pid, fd)
         with self._lock:
-            rec = self._records.get((pid, fd))
+            rec = self.get(pid, fd)
             if rec is not None:
                 if rec.inode == inode:
                     return rec
@@ -242,24 +247,18 @@ class SocketRegistry:
                 return None
             rec = SocketRecord(pid=pid, fd=fd, inode=inode)
             rec.transition(SocketStatus.TRACKABLE)
-            self._records[(pid, fd)] = rec
+            self._tables.setdefault(pid, {})[fd] = rec
             return rec
 
-    def lookup(self, pid, fd, mem, dup=None):
-        """The record for (pid, fd) while the fd still holds its socket;
-        a stale one is dropped through on_close and None returned.  The
-        fd's identity comes from ``dup``, a held duplicate of it, if given,
-        else from ``mem.fd_inode``."""
-        if (pid, fd) not in self._records:
-            return None  # most fds have no record: no lock, no identity
-        with self._lock:
-            rec = self._records.get((pid, fd))
-            if rec is not None and rec.inode != (
-                    socket_inode(dup.local_fd) if dup is not None
-                    else mem.fd_inode(pid, fd)):
-                self.on_close(pid, fd)
-                return None
-            return rec
+    def lookup(self, pid, fd, dup):
+        """The record for (pid, fd) while the fd still holds its socket, as
+        ``dup``, a held duplicate of the fd, shows it; a stale one is
+        dropped through on_close and None returned."""
+        rec = self.get(pid, fd)  # most fds have none: no identity read
+        if rec is not None and rec.inode != socket_inode(dup.local_fd):
+            self.on_close(pid, fd)
+            return None
+        return rec
 
     def record_option(self, rec: SocketRecord, ev: OptionEvent):
         with self._lock:
@@ -272,24 +271,26 @@ class SocketRegistry:
             if rec.status is SocketStatus.TRACKABLE:
                 rec.transition(SocketStatus.NON_SWITCHABLE)
 
-    def mark_switched(self, rec, spoofed_peer=None, inode=None):
-        """``inode`` is the injected host socket's: the fd holds it now.
-        The record is kept only if ``must_keep`` says so."""
+    def mark_switched(self, rec, spoofed_peer=None, inode=None,
+                      host_peer=None):
+        """``inode`` is the injected host socket's: the fd holds it now, and
+        a rewrite connected it to ``host_peer``.  The record is kept only if
+        ``must_keep`` says so."""
         with self._lock:
             rec.transition(SocketStatus.SWITCHED)
             rec.spoofed_peer = spoofed_peer
             rec.inode = inode
-            key = (rec.pid, rec.fd)
+            rec.host_peer = host_peer
             if must_keep(rec, spoofed_peer):
-                self._records[key] = rec
-            elif self._records.get(key) is rec:
-                del self._records[key]
+                self._tables.setdefault(rec.pid, {})[rec.fd] = rec
+            elif self.get(rec.pid, rec.fd) is rec:
+                del self._tables[rec.pid][rec.fd]
 
     def on_close(self, pid, fd):
         """Evict the record; the fd number becomes fresh for reuse.  Called
         when the fd turns out to hold another socket than the record's."""
         with self._lock:
-            rec = self._records.pop((pid, fd), None)
+            rec = self._tables.get(pid, {}).pop(fd, None)
             if rec is None:
                 return None
             if rec.status in (SocketStatus.TRACKABLE, SocketStatus.SWITCHED):
@@ -297,10 +298,9 @@ class SocketRegistry:
             return rec
 
     def evict_pid(self, pid):
-        """Drop every record of ``pid`` (its process exited)."""
+        """Drop ``pid``'s table (its process exited)."""
         with self._lock:
-            for key in [k for k in self._records if k[0] == pid]:
-                del self._records[key]
+            self._tables.pop(pid, None)
 
     def snapshot(self):
         with self._lock:
@@ -311,14 +311,17 @@ class SocketRegistry:
                     "status": rec.status.value,
                     "options": len(rec.options),
                 }
-                for rec in self._records.values()
+                for table in self._tables.values()
+                for rec in table.values()
             ]
 
 
 def must_keep(rec, spoofed_peer):
     """Whether a switched socket's record holds what the live socket cannot
-    tell: its options (another connect on the fd replays them) or a spoofed
-    peer."""
+    tell: a spoofed peer, or options.  Those options are never replayed,
+    since only a TRACKABLE record is switched; the kept record keeps the fd
+    from being switched again off its own host socket, which would lose
+    the options outside COPIED_OPTIONS."""
     return bool(rec.options) or spoofed_peer is not None
 
 

@@ -58,12 +58,12 @@ class SupervisorInstance:
     """
 
     def __init__(self, chan, env, probes=None, multinode=None, mem=None,
-                 registry=None, keep_audit=False):
+                 keep_audit=False):
         self.chan = chan
         self.env = env
         self.probes = probes
         self.multinode = multinode
-        self.registry = registry or SocketRegistry()
+        self.registry = SocketRegistry()
         self.mem = mem or MemService(chan, on_exit=self.registry.evict_pid)
         self.counters = Counters()
         self.audit = [] if keep_audit else None
@@ -146,9 +146,20 @@ class SupervisorInstance:
 
     def _on_status(self, event, name):
         # getpeername is spoofed only on a rewritten socket, whose record
-        # holds the spoofed peer, so an unknown fd is never probed here
-        rec = self.registry.lookup(event.pid, event.fd_arg, self.mem)
-        return "status", engine.handle_status(event, rec, self.chan, self.mem)
+        # holds its host peer: no other fd is duplicated here
+        rec = self.registry.get(event.pid, event.fd_arg)
+        if rec is None or rec.host_peer is None:
+            return "status", Response.cont()
+        try:
+            dup = self.mem.acquire_fd(event.pid, event.fd_arg)
+        except FdNotAvailable:
+            return "status", Response.cont()
+        try:
+            rec = self.registry.lookup(event.pid, event.fd_arg, dup)
+            return "status", engine.handle_status(event, rec, dup, self.chan,
+                                                  self.mem)
+        finally:
+            dup.close()
 
     def _on_configuration(self, event, name):
         """Record replayable options; the syscall always continues so the
@@ -197,7 +208,7 @@ class SupervisorInstance:
         except FdNotAvailable:  # the fd is not open, or its process exited
             return "continue", Response.cont()
         try:
-            rec = self.registry.lookup(event.pid, event.fd_arg, self.mem, dup)
+            rec = self.registry.lookup(event.pid, event.fd_arg, dup)
             fresh = ((rec is None or rec.status is SocketStatus.TRACKABLE)
                      and switchable(dup))
             host = not fresh and injected(dup, event.pid, self.mem)

@@ -5,7 +5,13 @@ supervised process."""
 import os
 import socket
 
-from b4ns.errors import FdNotAvailable, MemFault, StaleCookie, TargetGone
+from b4ns.errors import (
+    ChannelClosed,
+    FdNotAvailable,
+    MemFault,
+    StaleCookie,
+    TargetGone,
+)
 from b4ns.notify import NotificationEvent, Response
 from b4ns.sockaddr import socket_inode
 from b4ns.sysnr import AUDIT_ARCH_X86_64
@@ -103,6 +109,9 @@ class FakeChannel:
         self.invalid_cookies = set()
         self.validate_calls = 0
         self.invalid_after = None  # validation count after which all fail
+
+    def next_event(self):
+        raise ChannelClosed("no events queued")
 
     def validate(self, event):
         self.validate_calls += 1

@@ -25,7 +25,6 @@ from b4ns.bpf import (
 from b4ns.registry import (
     COPIED_OPTIONS,
     UNHOOKED_IOCTLS,
-    SocketRegistry,
     SocketStatus,
 )
 from b4ns.supervisor import SupervisorInstance
@@ -215,8 +214,7 @@ class TestSupervisorAgrees:
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         mem = FakeMem()
         mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os.dup(srv.fileno()))
-        sup = SupervisorInstance(FakeChannel(), env=None, mem=mem,
-                                 registry=SocketRegistry())
+        sup = SupervisorInstance(FakeChannel(), env=None, mem=mem)
         try:
             sup._dispatch(make_event(nr=NR[name], args=(3, cmd, 0)))
         finally:

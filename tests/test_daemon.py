@@ -17,10 +17,13 @@ from b4ns.daemon import (
     _UnixHTTPConnection,
     serve_api,
 )
-from b4ns.engine import PublishMapping
+from b4ns.engine import PublishMapping, unprivileged_port_start
 from b4ns.errors import ChannelClosed, DuplicateContainer, UnknownContainer
 
 from conftest import launch_shim, ShimRun
+
+# host ports below this one need privileges here
+PORT_START = unprivileged_port_start()
 
 
 @pytest.fixture
@@ -198,8 +201,12 @@ class TestApiErrors:
         b'{"seccomp_handoff_path": "/tmp/h.sock"}',
         b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
         b' "publish": ["8080:80"], "multinode_enabled": true}',
-        b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
-        b' "publish": ["80:80"]}',
+        pytest.param(
+            b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
+            b' "publish": ["%d:80"]}' % (PORT_START - 1),
+            marks=pytest.mark.skipif(
+                PORT_START <= 1, reason=f"ip_unprivileged_port_start is "
+                f"{PORT_START}: no host port is privileged")),
         b'{"container_id": "c", "seccomp_handoff_path": "/tmp/h.sock",'
         b' "container_cidrs": ["10.4.0.0/16", "10.4.1.0/24"]}',
     ], ids=["bad-json", "not-an-object", "no-container-id",

@@ -23,6 +23,7 @@ from b4ns.sockaddr import (
     pack_sockaddr_in,
     parse_sockaddr,
 )
+from b4ns.targetmem import RemoteFd
 
 from fakes import FakeChannel, FakeMem, held_dup, make_event
 
@@ -101,9 +102,15 @@ class TestNetEnvironment:
             NetEnvironment(published_ports=[mapping(), mapping(caddr="10.4.0.3")])
 
     def test_privileged_host_port_rejected_when_unprivileged(self):
-        with pytest.raises(ValueError):
-            NetEnvironment(published_ports=[mapping(hport=80)])
-        NetEnvironment(published_ports=[mapping(hport=80)], unprivileged=False)
+        start = engine.unprivileged_port_start()
+        if start <= 1:
+            pytest.skip(f"ip_unprivileged_port_start is {start}: no host "
+                        "port is privileged")
+        with pytest.raises(ValueError, match="without privileges"):
+            NetEnvironment(published_ports=[mapping(hport=start - 1)])
+        # port 0 binds any free port, never a privileged one
+        for hport in (0, start):
+            NetEnvironment(published_ports=[mapping(hport=hport)])
 
     def test_parse_publish_flag(self):
         m = PublishMapping.parse("8080:80", container_addr="10.4.0.2",
@@ -307,20 +314,31 @@ class TestParseConnectionArgs:
                 engine.parse_connection_args(mem, ev)
 
 
-class TestHandleStatus:
-    def _switched_rec(self):
+@pytest.fixture
+def rewritten():
+    """A rewrite's record and a duplicate of its fd, whose socket is
+    connected to the host peer the rewrite chose."""
+    with socket.socket() as srv, socket.socket() as cli:
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        cli.connect(srv.getsockname())
         rec = trackable()
         rec.transition(SocketStatus.SWITCHED)
         rec.spoofed_peer = ("10.4.0.2", 80)
-        return rec
+        rec.host_peer = srv.getsockname()
+        d = RemoteFd(1000, 3, os.dup(cli.fileno()))
+        yield rec, d
+        d.close()
 
-    def test_spoofs_peer_for_switched_rewritten_socket(self):
+
+class TestHandleStatus:
+    def test_spoofs_peer_for_switched_rewritten_socket(self, rewritten):
         mem = FakeMem()
         chan = FakeChannel()
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 16))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
+        resp = engine.handle_status(ev, *rewritten, chan, mem)
         assert resp.kind == "success"
         fam, addr, port = parse_sockaddr(mem.peek(1000, addr_ptr, 16))
         assert (addr, port) == ("10.4.0.2", 80)
@@ -340,15 +358,16 @@ class TestHandleStatus:
         (True, None, errno.EFAULT, None, 0),
     ], ids=["len-0", "len-8", "len-negative", "null-addr-len-0",
             "null-addr-len-16", "null-addrlen", "null-both"])
-    def test_arguments_handled_as_the_kernel_does(self, null_addr, length,
-                                                   err, len_after, copied):
+    def test_arguments_handled_as_the_kernel_does(self, rewritten, null_addr,
+                                                   length, err, len_after,
+                                                   copied):
         mem = FakeMem()
         chan = FakeChannel()
         addr_ptr = 0 if null_addr else mem.place(1000, 0x40, b"\xee" * 16)
         len_ptr = (0 if length is None
                    else mem.place(1000, 0x80, struct.pack("<i", length)))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
+        resp = engine.handle_status(ev, *rewritten, chan, mem)
         if err:
             assert (resp.kind, resp.err) == ("error", err)
         else:
@@ -361,31 +380,46 @@ class TestHandleStatus:
             assert mem.peek(1000, addr_ptr, 16) == (
                 peer[:copied] + b"\xee" * (16 - copied))
 
-    def test_unreadable_addrlen_means_efault(self):
+    def test_unreadable_addrlen_means_efault(self, rewritten):
         mem = FakeMem()
         chan = FakeChannel()
         bad_ptr = 0xDEAD
         mem.fault_addrs.add(bad_ptr)
         ev = make_event(pid=1000, args=(3, mem.place(1000, 0x40, b"\x00" * 16),
                                         bad_ptr))
-        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
+        resp = engine.handle_status(ev, *rewritten, chan, mem)
         assert resp.kind == "error"
         assert resp.err == errno.EFAULT
 
-    def test_unswitched_socket_passes_through(self):
+    def test_unswitched_socket_passes_through(self, rewritten):
         chan = FakeChannel()
         ev = make_event(pid=1000, args=(3, 0x1234, 0x5678))
-        resp = engine.handle_status(ev, trackable(), chan, FakeMem())
+        resp = engine.handle_status(ev, trackable(), rewritten[1], chan,
+                                    FakeMem())
         assert resp.kind == "continue"
 
-    def test_stale_cookie_after_write_degrades_to_continue(self):
+    @pytest.mark.parametrize("peer", [None, ("127.0.0.1", 1)],
+                             ids=["disconnected", "connected-elsewhere"])
+    def test_spoof_needs_the_host_peer_the_rewrite_chose(self, rewritten,
+                                                        dup, peer):
+        rec, connected = rewritten
+        if peer is None:  # the fd's socket is connected to nothing
+            connected = dup
+        else:
+            rec.host_peer = peer
+        ev = make_event(pid=1000, args=(3, 0x1234, 0x5678))
+        resp = engine.handle_status(ev, rec, connected, FakeChannel(),
+                                    FakeMem())
+        assert resp.kind == "continue"
+
+    def test_stale_cookie_after_write_degrades_to_continue(self, rewritten):
         mem = FakeMem()
         chan = FakeChannel()
         chan.invalid_after = 0  # every validation fails
         addr_ptr = mem.place(1000, 0x40, b"\x00" * 16)
         len_ptr = mem.place(1000, 0x80, struct.pack("<I", 16))
         ev = make_event(pid=1000, args=(3, addr_ptr, len_ptr))
-        resp = engine.handle_status(ev, self._switched_rec(), chan, mem)
+        resp = engine.handle_status(ev, *rewritten, chan, mem)
         assert resp.kind == "continue"
 
 
@@ -543,12 +577,15 @@ class TestRewriteAnswer:
         assert injected_flags == [target_flags & ~os.O_CLOEXEC]
         assert mem.writes == [] and chan.validate_calls == 0
         assert mem.peek(1000, ev.args[1], len(raw)) == raw
-        assert reg.get(1000, 3).spoofed_peer == ("10.4.0.2", 80)
+        self.rec = reg.get(1000, 3)
+        assert self.rec.spoofed_peer == ("10.4.0.2", 80)
         return out
 
     def test_in_progress_on_a_blocking_target_continues(self, dup, listener):
         out = self._rewrite(dup, listener, os.O_RDWR | os.O_CLOEXEC)
         assert out.kind == "continue"
+        # the peer getpeername must name before the spoof applies
+        assert self.rec.host_peer == listener
 
     def test_in_progress_on_a_nonblocking_target_is_einprogress(
             self, dup, listener):
@@ -570,3 +607,4 @@ class TestRewriteAnswer:
         # a broadcast destination fails inside connect, never in progress
         out = self._rewrite(dup, ("255.255.255.255", 80), flags)
         assert (out.kind, out.err) == ("error", errno.ENETUNREACH)
+        assert self.rec.host_peer is None  # never spoofed

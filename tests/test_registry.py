@@ -212,20 +212,25 @@ class TestFdReuse:
         finally:
             srv.close()
 
-    def test_non_socket_never_matches_a_socket(self):
+    def test_non_socket_never_matches_a_socket(self, tmp_path):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             mem = FakeMem()
             mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os_dup(srv))
             reg = SocketRegistry()
             rec = reg.ensure_registered(1, 3, mem)
-            mem.inodes[(1, 3)] = None  # the number now holds a file
-            assert reg.lookup(1, 3, mem) is None
+            with open(tmp_path / "f", "w") as f:  # the number now holds a file
+                dup = RemoteFd(1, 3, os_dup_fd(f.fileno()))
+                assert reg.lookup(1, 3, dup) is None
+                dup.close()
+            mem.inodes[(1, 3)] = None  # as /proc/pid/fd shows the file
             # a file gets no record of its own
             assert reg.ensure_registered(1, 3, mem) is None
             assert reg.get(1, 3) is None
-            mem.inodes[(1, 3)] = rec.inode  # a socket again
-            assert reg.lookup(1, 3, mem) is None
+            dup = RemoteFd(1, 3, os_dup(srv))  # a socket again
+            assert reg.lookup(1, 3, dup) is None
+            dup.close()
+            assert rec.status is SocketStatus.CLOSED
         finally:
             srv.close()
 
@@ -244,11 +249,11 @@ class TestFdReuse:
 
             mem.fd_inode = no_fd_inode
             dup = RemoteFd(1, 3, os_dup(srv))
-            assert reg.lookup(1, 3, mem, dup) is rec
+            assert reg.lookup(1, 3, dup) is rec
             os.fstat(dup.local_fd)  # still open: the caller closes it
             dup.close()
             dup = RemoteFd(1, 3, os_dup(other))
-            assert reg.lookup(1, 3, mem, dup) is None
+            assert reg.lookup(1, 3, dup) is None
             dup.close()
             assert reg.get(1, 3) is None
             assert rec.status is SocketStatus.CLOSED

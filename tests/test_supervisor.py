@@ -12,7 +12,7 @@ import pytest
 
 from b4ns.engine import NetEnvironment, PublishMapping
 from b4ns.errors import ChannelClosed, TargetGone
-from b4ns.registry import MAX_OPTIONS, SocketRegistry, SocketStatus
+from b4ns.registry import MAX_OPTIONS, SocketStatus
 from b4ns.sockaddr import pack_sockaddr_in
 from b4ns.supervisor import SupervisorInstance
 from b4ns.sysnr import NR
@@ -28,8 +28,7 @@ def supervisor(env=None):
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     mem = FakeMem()
     mem.fd_probe = lambda pid, fd: RemoteFd(pid, fd, os.dup(srv.fileno()))
-    sup = SupervisorInstance(FakeChannel(), env=env, mem=mem,
-                             registry=SocketRegistry(), keep_audit=True)
+    sup = SupervisorInstance(FakeChannel(), env=env, mem=mem, keep_audit=True)
     return sup, srv
 
 
@@ -275,7 +274,7 @@ class TestConnection:
 
     # published 10.4.0.2:80 -> 127.0.0.1 on any free port
     ENV = NetEnvironment(
-        container_cidrs=["10.4.0.0/24"], unprivileged=False,
+        container_cidrs=["10.4.0.0/24"],
         published_ports=[PublishMapping("10.4.0.2", 80, "127.0.0.1", 0)])
 
     @pytest.mark.parametrize("arrange,kind,action,switches,rollbacks", [

@@ -25,7 +25,7 @@ from b4ns.errors import ReplayFailed
 from b4ns.sockaddr import pack_sockaddr_in
 from b4ns.sysnr import NR
 
-from conftest import ShimRun, launch_shim, run_control, supervise
+from conftest import EchoServer, ShimRun, launch_shim, run_control, supervise
 
 
 def echo_script(host, port, nbytes=1 << 20, extra_pre=(), extra_post=()):
@@ -630,6 +630,41 @@ class TestRewriteAndSpoof:
         srv.kill()
         srv.sup.join(5)
 
+    @pytest.mark.parametrize("reconnect", [False, True],
+                             ids=["disconnected", "reconnected-elsewhere"])
+    def test_getpeername_off_the_host_peer_is_the_kernels(
+            self, tmp_path, echo_server, reconnect):
+        """Once a rewritten socket leaves the host peer its rewrite chose,
+        getpeername answers as it does unsupervised."""
+        other = EchoServer()
+        tail = [{"op": "connect_raw", "host": "0.0.0.0", "port": 0,
+                 "family": socket.AF_UNSPEC}]
+        if reconnect:  # allowed: a host socket goes where a switch would
+            tail.append({"op": "connect", "host": other.host,
+                         "port": other.port})
+        tail += [{"op": "getpeername"}, {"op": "close"}]
+        env = NetEnvironment(
+            container_cidrs=["10.4.0.0/24"], host_loopback_allowed=True,
+            published_ports=[PublishMapping("10.4.0.2", 80, echo_server.host,
+                                            echo_server.port)])
+        try:
+            run = supervise(tmp_path, [
+                {"op": "socket"},
+                {"op": "connect", "host": "10.4.0.2", "port": 80},
+                {"op": "getpeername"}] + tail, env=env)
+            run.wait()
+            ctl = run_control(tmp_path, [
+                {"op": "socket"},
+                {"op": "connect", "host": echo_server.host,
+                 "port": echo_server.port}] + tail, netns="host")
+        finally:
+            other.close()
+        assert all(r["ok"] for r in run.results("connect"))
+        assert run.result("connect_raw")["ok"]
+        spoofed, after = run.results("getpeername")
+        assert (spoofed["addr"], spoofed["port"]) == ("10.4.0.2", 80)
+        assert after == ctl.result("getpeername")
+        assert after["ok"] == reconnect
 
     def test_dup2_over_rewritten_fd_reports_the_real_peer(self, tmp_path,
                                                            echo_server):
