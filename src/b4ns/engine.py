@@ -26,8 +26,9 @@ import functools
 import ipaddress
 import logging
 import os
-import socket
 import struct
+from _socket import (AF_INET, SO_REUSEADDR, SOCK_NONBLOCK, SOCK_STREAM,
+                     SOL_SOCKET, inet_pton)
 from collections import namedtuple
 
 from .errors import B4nsError, MemFault, ReplayFailed, TargetGone
@@ -123,7 +124,7 @@ def unprivileged_port_start():
 
 def _ipv4(addr):
     """Dotted quad -> 32-bit integer (OSError if ``addr`` is not one)."""
-    return int.from_bytes(socket.inet_pton(socket.AF_INET, addr), "big")
+    return int.from_bytes(inet_pton(AF_INET, addr), "big")
 
 
 class SwitchDecision(namedtuple("SwitchDecision",
@@ -147,7 +148,7 @@ def decide(op, env: NetEnvironment, probes=None, multinode=None):
     switchable and not marked otherwise.  Uncertainty degrades to ignore:
     the unswitched path is slow but always correct."""
     kind, family, addr, port = op
-    if family != socket.AF_INET or addr is None:
+    if family != AF_INET or addr is None:
         return SwitchDecision.IGNORE
 
     if kind == "bind":
@@ -222,12 +223,12 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
     # a rewrite's own connect must not block the supervisor
     own_flags = _FRESH_FLAGS | os.O_NONBLOCK if rewrite else _FRESH_FLAGS
     try:
-        host_sock = _socket.socket(socket.AF_INET, socket.SOCK_STREAM | (
-            socket.SOCK_NONBLOCK if rewrite else 0))
+        host_sock = _socket.socket(AF_INET, SOCK_STREAM | (
+            SOCK_NONBLOCK if rewrite else 0))
         replay_options(rec, host_sock)
         copy_options(dup.socket(), host_sock)
         if is_bind:
-            host_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            host_sock.setsockopt(SOL_SOCKET, SO_REUSEADDR, 1)
             host_sock.bind(decision.new_dest)
         flags = mem.fd_flags(event.pid, event.fd_arg)
         response = Response.success(0) if is_bind else Response.cont()
@@ -279,7 +280,7 @@ def _peer_name(sock):
     connect on, until a disconnect (connect with AF_UNSPEC) clears it or
     another connect replaces it; OSError while there is none."""
     return parse_sockaddr(sock.getsockopt(
-        socket.SOL_SOCKET, SO_PEERNAME, SOCKADDR_IN_SIZE))[1:]
+        SOL_SOCKET, SO_PEERNAME, SOCKADDR_IN_SIZE))[1:]
 
 
 def handle_status(event, rec, dup, chan, mem):

@@ -4,14 +4,13 @@ Wraps the kernel's receive-event / send-response / check-id-valid / add-fd
 commands and the runtime->supervisor handoff of the notification fd.
 """
 
-import array
+import _socket
 import errno
 import fcntl
 import gc
 import logging
 import os
 import select
-import socket
 import struct
 import threading
 from collections import namedtuple
@@ -100,7 +99,7 @@ class NotificationChannel:
     def __init__(self, notify_fd, ioctl_fn=fcntl.ioctl, probe_addfd=True):
         self.fd = notify_fd
         self._ioctl = ioctl_fn
-        self._responded = set()  # cookie audit, bounded by in-flight count
+        self._answered = None  # the cookie the kernel last took an answer for
         if probe_addfd and not self.supports_addfd():
             os.close(notify_fd)
             raise UnsupportedKernel("kernel lacks the add-fd notification command")
@@ -215,36 +214,30 @@ class NotificationChannel:
         req = struct.pack(_ADDFD_FMT, event.cookie, ADDFD_FLAG_SETFD, host_fd,
                           target_fd, os.O_CLOEXEC if cloexec else 0)
         try:
-            r = self._ioctl(self.fd, IOCTL_NOTIF_ADDFD, bytearray(req))
+            return self._ioctl(self.fd, IOCTL_NOTIF_ADDFD, bytearray(req))
         except OSError as e:
             if e.errno == errno.ENOENT:
                 raise StaleCookie(f"cookie {event.cookie:#x} gone during addfd")
             raise
-        return r
 
     def respond(self, event, response: Response):
-        """Deliver the verdict; exactly one respond per event.
-
-        A stale cookie (target died) is swallowed and logged -- the event
-        loop must survive it.
-        """
-        if event.cookie in self._responded:
+        """Deliver the verdict, once per event: answering the event answered
+        last again raises StaleCookie.  A stale cookie (target died) is
+        logged, not raised -- the event loop must survive it."""
+        if event.cookie == self._answered:
             raise StaleCookie(f"cookie {event.cookie:#x} already responded")
         flags = RESP_FLAG_CONTINUE if response.kind == "continue" else 0
         err = -response.err if response.kind == "error" else 0
         val = response.value if response.kind == "success" else 0
         buf = _RESP.pack(event.cookie, val, err, flags)
-        self._responded.add(event.cookie)
-        if len(self._responded) > 4096:
-            self._responded.clear()
         try:
             self._ioctl(self.fd, IOCTL_NOTIF_SEND, buf)
         except OSError as e:
-            if e.errno == errno.ENOENT:
-                log.warning("stale cookie %#x on respond; target gone",
-                            event.cookie)
-                return
-            raise
+            if e.errno != errno.ENOENT:
+                raise
+            log.warning("stale cookie %#x on respond; target gone",
+                        event.cookie)
+        self._answered = event.cookie
 
     def wake(self):
         """Make the current and every later ``next_event`` raise
@@ -276,7 +269,7 @@ def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl):
         os.unlink(handoff_path)
     except FileNotFoundError:
         pass
-    srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    srv = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM)
     srv.bind(handoff_path)
     srv.listen(1)
     # no hooked syscall can wait on us yet: collect the start-up heap now,
@@ -285,22 +278,22 @@ def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl):
     gc.collect()
     srv.settimeout(timeout)
     try:
-        conn, _ = srv.accept()
-    except socket.timeout:
-        srv.close()
+        fd, _ = srv._accept()  # what socket.socket.accept calls
+    except TimeoutError:
         raise HandoffFailed(f"no runtime connected to {handoff_path}")
     finally:
         srv.close()
-    with conn:
+    conn = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM, 0, fd)
+    try:
         conn.settimeout(timeout)
         try:
-            msg, anc, _, _ = conn.recvmsg(1, socket.CMSG_LEN(4))
-        except socket.timeout:
+            msg, anc, _, _ = conn.recvmsg(1, _socket.CMSG_LEN(4))
+        except TimeoutError:
             raise HandoffFailed("handoff connection sent nothing")
         fds = []
         for level, ctype, data in anc:
-            if level == socket.SOL_SOCKET and ctype == socket.SCM_RIGHTS:
-                fds.extend(array.array("i", data[: len(data) - len(data) % 4]))
+            if level == _socket.SOL_SOCKET and ctype == _socket.SCM_RIGHTS:
+                fds.extend(memoryview(data[:len(data) // 4 * 4]).cast("i"))
         if not fds:
             raise HandoffFailed("handoff message carried no ancillary fd")
         notify_fd = fds[0]
@@ -308,4 +301,6 @@ def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl):
             os.close(extra)
         chan = NotificationChannel(notify_fd, ioctl_fn=ioctl_fn)
         conn.sendall(ACK_BYTE)
+    finally:
+        conn.close()
     return chan

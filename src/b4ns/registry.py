@@ -14,10 +14,10 @@ holds that socket is dropped when the fd is next seen.  The copied options
 and the fd's file status flags are read from the kernel at switch time.
 """
 
+import _socket
 import enum
 import functools
 import os
-import socket
 import threading
 
 from .errors import ReplayFailed
@@ -92,8 +92,8 @@ def switchable(dup):
     False."""
     try:
         sock = dup.socket()
-        return (sock.family == socket.AF_INET
-                and sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_INFO,
+        return (sock.family == _socket.AF_INET
+                and sock.getsockopt(_socket.IPPROTO_TCP, _socket.TCP_INFO,
                                     1)[0] == TCP_CLOSE
                 and sock.getsockname() == _UNBOUND)
     except OSError:  # not a socket, or no TCP_INFO: not TCP
@@ -104,8 +104,11 @@ def switchable(dup):
 def _own_netns():
     """(SO_NETNS_COOKIE, nsfs (dev, inode)) of this process's network
     namespace, where the host sockets it injects live."""
-    with socket.socket() as s:
-        cookie = s.getsockopt(socket.SOL_SOCKET, SO_NETNS_COOKIE, 8)
+    s = _socket.socket()
+    try:
+        cookie = s.getsockopt(_socket.SOL_SOCKET, SO_NETNS_COOKIE, 8)
+    finally:
+        s.close()
     st = os.stat("/proc/self/ns/net")
     return cookie, (st.st_dev, st.st_ino)
 
@@ -119,10 +122,10 @@ def injected(dup, pid, mem):
     cookie, netns = _own_netns()
     try:
         sock = dup.socket()
-        return (sock.family == socket.AF_INET
-                and sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_INFO,
+        return (sock.family == _socket.AF_INET
+                and sock.getsockopt(_socket.IPPROTO_TCP, _socket.TCP_INFO,
                                     1)[0] == TCP_CLOSE
-                and sock.getsockopt(socket.SOL_SOCKET, SO_NETNS_COOKIE,
+                and sock.getsockopt(_socket.SOL_SOCKET, SO_NETNS_COOKIE,
                                     8) == cookie
                 and mem.netns(pid) != netns)
     except OSError:  # not a TCP socket, or the process has exited
@@ -172,7 +175,7 @@ class OptionEvent:
     def __repr__(self):
         return f"OptionEvent(kind={self.kind!r}, args={self.args!r})"
 
-    def apply(self, sock: socket.socket):
+    def apply(self, sock):
         if self.kind != "setsockopt":
             raise ReplayFailed(self)
         level, optname, optval = self.args
@@ -325,7 +328,7 @@ def must_keep(rec, spoofed_peer):
     return bool(rec.options) or spoofed_peer is not None
 
 
-def replay_options(rec, host_socket: socket.socket):
+def replay_options(rec, host_socket):
     """Apply the options recorded in ``rec`` to a fresh host socket, in the
     order the target set them (one supervisor thread appends them); a
     socket without a record (``rec`` None) has none.
@@ -336,8 +339,6 @@ def replay_options(rec, host_socket: socket.socket):
     for ev in rec.options if rec is not None else ():
         try:
             ev.apply(host_socket)
-        except ReplayFailed:
-            raise
         except OSError as e:
             raise ReplayFailed(ev) from e
 
@@ -345,9 +346,12 @@ def replay_options(rec, host_socket: socket.socket):
 @functools.cache
 def _fresh_socket_options():
     """COPIED_OPTIONS' values on a fresh socket here, read once."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+    s = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
+    try:
         return tuple(s.getsockopt(level, name)
                      for level, name in COPIED_OPTIONS)
+    finally:
+        s.close()
 
 
 def copy_options(src, host_socket):

@@ -1,7 +1,7 @@
 """sockaddr packing/parsing, and the inode of a socket fd."""
 
+import _socket
 import os
-import socket
 import stat
 import struct
 
@@ -10,8 +10,8 @@ SOCKADDR_IN_SIZE = 16
 
 def pack_sockaddr_in(addr, port):
     """AF_INET sockaddr bytes, 16 bytes with zero padding."""
-    return struct.pack("<H", socket.AF_INET) + struct.pack(
-        "!H4s", port, socket.inet_aton(addr)) + b"\x00" * 8
+    return struct.pack("<H", _socket.AF_INET) + struct.pack(
+        "!H4s", port, _socket.inet_aton(addr)) + b"\x00" * 8
 
 
 def parse_sockaddr(raw):
@@ -24,12 +24,12 @@ def parse_sockaddr(raw):
     if len(raw) < 2:
         return None, None, None
     (family,) = struct.unpack_from("<H", raw)
-    if family == socket.AF_INET and len(raw) >= SOCKADDR_IN_SIZE:
+    if family == _socket.AF_INET and len(raw) >= SOCKADDR_IN_SIZE:
         port, packed = struct.unpack_from("!H4s", raw, 2)
-        return family, socket.inet_ntoa(packed), port
-    if family == socket.AF_INET6 and len(raw) >= 24:
+        return family, _socket.inet_ntoa(packed), port
+    if family == _socket.AF_INET6 and len(raw) >= 24:
         port = struct.unpack_from("!H", raw, 2)[0]
-        addr = socket.inet_ntop(socket.AF_INET6, raw[8:24])
+        addr = _socket.inet_ntop(_socket.AF_INET6, raw[8:24])
         return family, addr, port
     return family, None, None
 

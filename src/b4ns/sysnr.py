@@ -4,7 +4,7 @@ filter's lists of what it hooks and lets through, and the handoff's ack.
 Both sides of the handoff import this module: the target only needs the
 filter, not the supervisor."""
 
-import socket
+import _socket
 import termios
 
 AUDIT_ARCH_X86_64 = 0xC000003E
@@ -73,13 +73,13 @@ UNHOOKED_IOCTLS = (termios.TCGETS, termios.TIOCGWINSZ, termios.FIONREAD,
 # lets them through without a notification.  Not SO_SNDBUF/SO_RCVBUF:
 # setting one locks the buffer size and turns autotuning off.
 COPIED_OPTIONS = (
-    (socket.SOL_SOCKET, socket.SO_REUSEADDR),
-    (socket.SOL_SOCKET, socket.SO_REUSEPORT),
-    (socket.SOL_SOCKET, socket.SO_KEEPALIVE),
-    (socket.IPPROTO_TCP, socket.TCP_NODELAY),
-    (socket.IPPROTO_TCP, socket.TCP_KEEPIDLE),
-    (socket.IPPROTO_TCP, socket.TCP_KEEPINTVL),
-    (socket.IPPROTO_TCP, socket.TCP_KEEPCNT),
+    (_socket.SOL_SOCKET, _socket.SO_REUSEADDR),
+    (_socket.SOL_SOCKET, _socket.SO_REUSEPORT),
+    (_socket.SOL_SOCKET, _socket.SO_KEEPALIVE),
+    (_socket.IPPROTO_TCP, _socket.TCP_NODELAY),
+    (_socket.IPPROTO_TCP, _socket.TCP_KEEPIDLE),
+    (_socket.IPPROTO_TCP, _socket.TCP_KEEPINTVL),
+    (_socket.IPPROTO_TCP, _socket.TCP_KEEPCNT),
 )
 
 # the supervisor's one-byte answer once it holds the notification fd

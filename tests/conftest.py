@@ -103,6 +103,8 @@ class ShimRun:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait()
+        for pipe in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            pipe.close()
 
 
 def launch_shim(tmp_path, script, name="t", handoff=None, netns="new",

@@ -25,7 +25,9 @@ importlib.import_module(sys.argv[1])
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-_SUPERVISOR_PATH = {"dataclasses", "inspect", "hashlib", "http.client", "ssl"}
+# socket.py and its selectors: the supervisor path uses _socket itself
+_SUPERVISOR_PATH = {"dataclasses", "inspect", "hashlib", "http.client", "ssl",
+                    "socket", "selectors", "array"}
 
 # entry point -> modules its import must not add
 EXCLUDED = {
@@ -34,7 +36,7 @@ EXCLUDED = {
     "b4ns.supervisor": _SUPERVISOR_PATH,
     "b4ns.cli": {"http.server", "http.client", "socketserver",
                  "urllib.request", "ssl", "b4ns.daemon", "b4ns.kvs",
-                 "b4ns.bench"},
+                 "b4ns.bench", "socket", "selectors", "array"},
     "b4ns.target_shim": {"logging", "hashlib", "dataclasses", "b4ns.notify",
                          "b4ns.registry"},
 }

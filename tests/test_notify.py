@@ -96,6 +96,29 @@ class TestChannelUnit:
             chan.respond(ev, Response.cont())
         chan.close()
 
+    def test_failed_send_leaves_the_fallback_answer_open(self):
+        # a SEND the kernel refused answered nothing: the run loop's
+        # fallback CONTINUE must still reach the kernel
+        ioctl = fake_ioctl({IOCTL_NOTIF_ADDFD: errno.ENOENT})
+        failures = [errno.EIO]
+
+        def send_fails_once(fd, request, arg=0, mutate=False):
+            if request == IOCTL_NOTIF_SEND and failures:
+                err = failures.pop()
+                raise OSError(err, os.strerror(err))
+            return ioctl(fd, request, arg, mutate)
+
+        chan = NotificationChannel(os.open("/dev/null", os.O_RDONLY),
+                                   ioctl_fn=send_fails_once)
+        ev = make_event(cookie=31)
+        with pytest.raises(OSError):
+            chan.respond(ev, Response.success(0))
+        chan.respond(ev, Response.cont())
+        sends = [struct.unpack("<QqiI", a) for r, a in ioctl.calls
+                 if r == IOCTL_NOTIF_SEND]
+        assert sends == [(31, 0, 0, 1)]
+        chan.close()
+
     def test_stale_cookie_on_respond_is_swallowed(self):
         chan = self._chan({IOCTL_NOTIF_ADDFD: errno.ENOENT,
                            IOCTL_NOTIF_SEND: errno.ENOENT})

@@ -65,7 +65,7 @@ def child():
     yield proc, addr, sock_fd
     if proc.poll() is None:
         proc.kill()
-    proc.wait()
+    proc.communicate()  # and close the pipes
 
 
 class TestMemHandle:
