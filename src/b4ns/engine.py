@@ -24,14 +24,13 @@ import errno
 import fcntl
 import functools
 import ipaddress
-import logging
 import os
 import struct
 from _socket import (AF_INET, SO_REUSEADDR, SOCK_NONBLOCK, SOCK_STREAM,
                      SOL_SOCKET, inet_pton)
 from collections import namedtuple
 
-from .errors import B4nsError, MemFault, ReplayFailed, TargetGone
+from .errors import B4nsError, MemFault, ReplayFailed, TargetGone, log
 from .notify import Response
 from .registry import (
     SocketRecord,
@@ -52,8 +51,6 @@ from .sockaddr import (
 _FRESH_FLAGS = os.O_RDWR
 # unlike getpeername, names the peer of a connecting or closed socket too
 SO_PEERNAME = 28
-
-log = logging.getLogger(__name__)
 
 
 class PublishMapping(namedtuple(
@@ -241,10 +238,8 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
             if err != errno.EINPROGRESS or flags & os.O_NONBLOCK:
                 response = (Response.failure(err) if err
                             else Response.success(0))
-            try:
-                host_peer = _peer_name(host_sock)
-            except OSError:  # the connect failed at once: nothing to spoof
-                pass
+            # None if the connect failed at once: nothing to spoof
+            host_peer = _peer_name(host_sock)
         if flags & ~os.O_CLOEXEC != own_flags:
             fcntl.fcntl(host_sock.fileno(), fcntl.F_SETFL, flags)
         if rec is None and decision.spoof_peer is not None:
@@ -261,14 +256,15 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
                                    inode=inode, host_peer=host_peer)
         return response
     except ReplayFailed as e:
-        log.warning("option replay failed on (%d,%d): %s; staying unswitched",
-                    event.pid, event.fd_arg, e)
+        log(__name__).warning(
+            "option replay failed on (%d,%d): %s; staying unswitched",
+            event.pid, event.fd_arg, e)
         if rec is not None:
             registry.mark_non_switchable(rec)
         return None
     except (OSError, B4nsError) as e:
-        log.info("switch of (%d,%d) rolled back: %s", event.pid,
-                 event.fd_arg, e)
+        log(__name__).info("switch of (%d,%d) rolled back: %s", event.pid,
+                           event.fd_arg, e)
         return None
     finally:
         if host_sock is not None:
@@ -278,23 +274,31 @@ def execute_switch(event, rec, decision, chan, mem, registry, dup):
 def _peer_name(sock):
     """(addr, port) of the peer the kernel keeps for ``sock`` from its
     connect on, until a disconnect (connect with AF_UNSPEC) clears it or
-    another connect replaces it; OSError while there is none."""
-    return parse_sockaddr(sock.getsockopt(
-        SOL_SOCKET, SO_PEERNAME, SOCKADDR_IN_SIZE))[1:]
+    another connect replaces it; None while there is none."""
+    try:
+        return parse_sockaddr(sock.getsockopt(
+            SOL_SOCKET, SO_PEERNAME, SOCKADDR_IN_SIZE))[1:]
+    except OSError:
+        return None
 
 
 def handle_status(event, rec, dup, chan, mem):
     """The response to a getpeername: spoofed while the fd holds the socket
     a rewrite (``rec``) injected, as ``dup`` (a held duplicate of the fd)
-    shows it, and its peer is still the host peer that rewrite chose,
-    handling the arguments as the kernel's move_addr_to_user does.  Any
-    other socket, and one disconnected or connected elsewhere since,
-    passes through to the kernel."""
+    shows it, and its own getpeername names the host peer that rewrite
+    chose, handling the arguments as the kernel's move_addr_to_user does.
+    While the kernel keeps that peer but names none (connecting, or
+    ended), the answer is the kernel's ENOTCONN: continued, the call could
+    name the host peer of a handshake finished meanwhile.  Any other
+    socket, and one disconnected or connected elsewhere since, passes
+    through to the kernel."""
     try:
-        if rec is None or rec.host_peer != _peer_name(dup.socket()):
+        if rec is None or dup.socket().getpeername() != rec.host_peer:
             return Response.cont()
-    except OSError:  # no peer
-        return Response.cont()
+    except OSError:  # none named
+        return (Response.failure(errno.ENOTCONN)
+                if _peer_name(dup.socket()) == rec.host_peer
+                else Response.cont())
     addr_ptr, addrlen_ptr = event.args[1], event.args[2]
     try:
         (socklen,) = struct.unpack("<i", mem.read(event.pid, addrlen_ptr, 4))

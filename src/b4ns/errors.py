@@ -79,3 +79,9 @@ class SetupFailed(B4nsError):
 
 class SwitchDidNotHappen(B4nsError):
     """Bypass benchmark guard: counters show no switched socket."""
+
+
+def log(name):
+    """The logger ``name``: a process loads logging at its first message."""
+    import logging
+    return logging.getLogger(name)

@@ -8,17 +8,15 @@ import _socket
 import errno
 import fcntl
 import gc
-import logging
 import os
 import select
 import struct
 import threading
 from collections import namedtuple
 
-from .errors import ChannelClosed, HandoffFailed, StaleCookie, UnsupportedKernel
+from .errors import (ChannelClosed, HandoffFailed, StaleCookie,
+                     UnsupportedKernel, log)
 from .sysnr import ACK_BYTE
-
-log = logging.getLogger(__name__)
 
 # struct seccomp_notif: id, pid, flags, struct seccomp_data{nr, arch, ip, args[6]}
 _NOTIF = struct.Struct("<QIIiIQ6Q")
@@ -235,8 +233,8 @@ class NotificationChannel:
         except OSError as e:
             if e.errno != errno.ENOENT:
                 raise
-            log.warning("stale cookie %#x on respond; target gone",
-                        event.cookie)
+            log(__name__).warning("stale cookie %#x on respond; target gone",
+                                  event.cookie)
         self._answered = event.cookie
 
     def wake(self):

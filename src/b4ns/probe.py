@@ -196,6 +196,7 @@ class AgentHandle:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        self.proc.stdout.close()
 
 
 def start_agent(netns_ref, published_ports, control_path, bind_addr="0.0.0.0",
@@ -219,10 +220,13 @@ def start_agent(netns_ref, published_ports, control_path, bind_addr="0.0.0.0",
         line = proc.stdout.readline()
         ready.set()
 
-    threading.Thread(target=wait_ready, daemon=True).start()
+    reader = threading.Thread(target=wait_ready, daemon=True)
+    reader.start()
     if not ready.wait(startup_timeout) or line.strip() != "ready":
         proc.terminate()
         proc.wait()
+        reader.join()  # the agent has exited: its read ends
+        proc.stdout.close()
         raise NamespaceUnavailable(
             f"probe agent failed to start (netns={netns_ref})")
     handle = AgentHandle(proc, control_path)

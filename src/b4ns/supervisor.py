@@ -2,7 +2,6 @@
 channel, socket registry, switch engine, probes and multi-node cache."""
 
 import errno
-import logging
 import threading
 
 from . import engine
@@ -12,6 +11,7 @@ from .errors import (
     MemFault,
     StaleCookie,
     TargetGone,
+    log,
 )
 from .notify import Response
 from .registry import (
@@ -25,8 +25,6 @@ from .registry import (
 )
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR, UNHOOKED_IOCTLS
 from .targetmem import MemService
-
-log = logging.getLogger(__name__)
 
 MAX_OPTVAL = 256
 MAX_AUDIT = 100_000
@@ -102,9 +100,11 @@ class SupervisorInstance:
                 try:
                     self._dispatch(event)
                 except (StaleCookie, TargetGone) as e:
-                    log.warning("notification gone, not answered: %s", e)
+                    log(__name__).warning(
+                        "notification gone, not answered: %s", e)
                 except Exception:
-                    log.exception("handler error; continuing target syscall")
+                    log(__name__).exception(
+                        "handler error; continuing target syscall")
                     try:
                         self.chan.respond(event, Response.cont())
                     except Exception:
@@ -133,7 +133,8 @@ class SupervisorInstance:
             # ours (an older runtime's) sends these, and a foreign arch's
             # numbers name other syscalls than the x86_64 table's
             name = f"nr{event.syscall_nr}"
-            log.debug("unexpected notification: arch %#x %s", event.arch, name)
+            log(__name__).debug("unexpected notification: arch %#x %s",
+                                event.arch, name)
             action, response = "continue", Response.cont()
         else:
             name, handler = entry
@@ -171,8 +172,8 @@ class SupervisorInstance:
             try:
                 self._record_configuration(event, name, rec)
             except (MemFault, TargetGone) as e:
-                log.debug("option read failed on (%d,%d): %s",
-                          event.pid, event.fd_arg, e)
+                log(__name__).debug("option read failed on (%d,%d): %s",
+                                    event.pid, event.fd_arg, e)
         return "continue", Response.cont()
 
     def _record_configuration(self, event, name, rec):

@@ -21,7 +21,6 @@ from .errors import FdNotAvailable, MemFault, ReadOnlyMapping, TargetGone
 
 _libc = ctypes.CDLL(None, use_errno=True)
 
-SYS_pidfd_open = 434
 SYS_pidfd_getfd = 438
 PIDFD_THREAD = os.O_EXCL
 PIDFD_GET_INFO = 0xC040FF0B  # _IOWR(0xFF, 11, struct pidfd_info), 64 bytes
@@ -92,13 +91,10 @@ def open_mem(pid):
 
 
 def _pidfd_open(pid, flags=0):
-    fd = _libc.syscall(SYS_pidfd_open, pid, flags)
-    if fd < 0:
-        e = ctypes.get_errno()
-        if e == errno.ESRCH:
-            raise TargetGone(f"pid {pid} exited")
-        raise OSError(e, "pidfd_open")
-    return fd
+    try:
+        return os.pidfd_open(pid, flags)
+    except ProcessLookupError:
+        raise TargetGone(f"pid {pid} exited")
 
 
 def _pidfd_tgid(pidfd):

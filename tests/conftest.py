@@ -56,6 +56,9 @@ class EchoServer:
                 conn.sendall(data)
 
     def close(self):
+        # close alone would not wake the accept: the thread would stay, and
+        # the kernel would keep listening on the port
+        self.srv.shutdown(socket.SHUT_RDWR)
         self.srv.close()
 
 

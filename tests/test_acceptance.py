@@ -125,8 +125,8 @@ def test_3_rewrite_and_spoof(tmp_path):
                      {"op": "serve_echo"}]
     client_script = [{"op": "socket"},
                      {"op": "connect", "host": "10.4.0.2", "port": 80},
-                     {"op": "echo_roundtrip", "bytes": 1 << 16},
                      {"op": "getpeername"},
+                     {"op": "echo_roundtrip", "bytes": 1 << 16},
                      {"op": "close"}]
     srv = supervise(tmp_path, server_script, env=env, name="srv")
     assert srv.readline()["ok"]

@@ -17,6 +17,7 @@ opens; the last two must match each other and the counts below.
 """
 
 import collections
+import json
 import os
 import subprocess
 import sys
@@ -47,8 +48,9 @@ MEMORY_NRS = {12: "brk", 9: "mmap", 11: "munmap", 28: "madvise"}
 IOCTL = 16
 NAMES = {
     3: "close", 7: "poll", 17: "pread64", 18: "pwrite64", 41: "socket",
-    42: "connect", 49: "bind", 51: "getsockname", 54: "setsockopt",
-    55: "getsockopt", 72: "fcntl", 262: "newfstatat", 438: "pidfd_getfd",
+    42: "connect", 49: "bind", 51: "getsockname", 52: "getpeername",
+    54: "setsockopt", 55: "getsockopt", 72: "fcntl", 262: "newfstatat",
+    438: "pidfd_getfd",
 }
 IOCTLS = {
     IOCTL_NOTIF_RECV: "ioctl:recv", IOCTL_NOTIF_SEND: "ioctl:send",
@@ -104,7 +106,7 @@ PATHS = {
         "ioctl:id_valid": 1, "socket": 1, "connect": 1, "fcntl": 1,
         "ioctl:addfd": 1, "close": 2, "ioctl:send": 1}, {
         "ioctl:recv": 1, "pidfd_getfd": 1, "newfstatat": 1,
-        "getsockname": 1, "getsockopt": 1, "pread64": 1, "pwrite64": 2,
+        "getsockname": 1, "getpeername": 1, "pread64": 1, "pwrite64": 2,
         "ioctl:id_valid": 1, "close": 1, "ioctl:send": 1}]),
     # the target shares the supervisor's namespace here, so the injected
     # check reads the namespace cookie and stats /proc/<pid>/ns/net, where
@@ -210,14 +212,19 @@ def counted(tmp_path_factory):
         echo.close()
 
 
-def _count_paths(tmp_path, port):
-    script, per_round = [], {}
-    for path, (ops, expected) in PATHS.items():
+def _script(port, rounds):
+    """Each path's rounds in PATHS order, ECHO replaced by ``port``."""
+    script = []
+    for ops, _ in PATHS.values():
         ops = [dict(op, port=port) if op.get("port") == "ECHO" else op
                for op in ops]
-        script += ([{"op": "socket"}] + ops + [{"op": "close"}]) * ROUNDS
-        per_round[path] = len(expected)
-    windows = count_windows(tmp_path, script, port)
+        script += ([{"op": "socket"}] + ops + [{"op": "close"}]) * rounds
+    return script
+
+
+def _count_paths(tmp_path, port):
+    per_round = {path: len(expected) for path, (_, expected) in PATHS.items()}
+    windows = count_windows(tmp_path, _script(port, ROUNDS), port)
     assert len(windows) == sum(per_round.values()) * ROUNDS
     rounds = {}
     for path, n in per_round.items():
@@ -236,3 +243,50 @@ def test_steady_round_makes_the_pinned_crossings(counted, path):
 def test_plain_switch_makes_20_after_the_wakeup_poll(counted):
     (plain,) = counted["plain"][-1]
     assert sum(plain.values()) == 20
+
+
+# ``b4ns attach`` in a fresh interpreter; prints its counters, then whether
+# the session loaded logging
+ATTACH = """
+import sys
+from b4ns import cli
+code = cli.main_b4ns(sys.argv[1:])
+print("logging" in sys.modules, flush=True)
+sys.exit(code)
+"""
+
+
+def test_a_clean_session_never_loads_logging(tmp_path):
+    """``b4ns attach``, with the environment SUPERVISOR builds, supervises
+    each path once: nothing goes wrong, so nothing is logged, and the
+    session ends without having imported logging."""
+    echo = EchoServer()
+    handoff = tmp_path / "attach.sock"
+    sup = subprocess.Popen(
+        [sys.executable, "-c", ATTACH, "attach", "--handoff", str(handoff),
+         "--cidr", CONTAINER, "--cidr", IGNORED + "/32",
+         "--container-addr", REWRITTEN[0], "--host-addr", "127.0.0.1",
+         "--publish", f"{echo.port}:{REWRITTEN[1]}",
+         "--publish", f"0:{PUBLISHED[1]}", "--allow-host-loopback"],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    shim = None
+    try:
+        shim = launch_shim(tmp_path, _script(echo.port, 1), handoff=handoff,
+                           netns="host")
+        _, err = shim.communicate(timeout=30)
+        assert shim.returncode == 0, err
+        out, _ = sup.communicate(timeout=30)
+    finally:
+        for proc in (shim, sup):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        if shim is not None:
+            shim.stdin.close()
+        echo.close()
+    assert sup.returncode == 0
+    *_, counters, loaded = out.splitlines()
+    # the plain switch, the rewrite and the bind
+    assert json.loads(counters)["sockets_switched"] == 3
+    assert loaded == "False"

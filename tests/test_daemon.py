@@ -18,7 +18,8 @@ from b4ns.daemon import (
     serve_api,
 )
 from b4ns.engine import PublishMapping, unprivileged_port_start
-from b4ns.errors import ChannelClosed, DuplicateContainer, UnknownContainer
+from b4ns.errors import (ChannelClosed, DuplicateContainer, HandoffFailed,
+                         UnknownContainer)
 
 from conftest import launch_shim, ShimRun
 
@@ -134,6 +135,7 @@ class TestApiServer:
             # not after serve_forever's next 0.5 s poll
             assert time.monotonic() - t0 < 0.1
         finally:
+            srv.server_close()
             daemon.shutdown()
 
     def test_exit_closes_and_removes_the_socket(self, tmp_path, monkeypatch):
@@ -317,7 +319,16 @@ class TestDaemonDirect:
         st = inst.status()
         assert (st.state, st.error) == ("stopped", None)
 
-    def test_duplicate_raises_at_daemon_layer(self, tmp_path):
+    def test_duplicate_raises_at_daemon_layer(self, tmp_path, monkeypatch):
+        # no runtime comes: a real attach would hold the handoff socket
+        # until its timeout, long after this test
+        release = threading.Event()
+
+        def attach(path, timeout):
+            release.wait(10)
+            raise HandoffFailed("no runtime connected")
+
+        monkeypatch.setattr(notify, "attach", attach)
         d = Daemon(node_id="n")
         try:
             spec = ContainerSpec("x", str(tmp_path / "x.sock"))
@@ -329,6 +340,7 @@ class TestDaemonDirect:
                 d.status("y")
         finally:
             d.shutdown()
+            release.set()
 
     def _stop_during_attach(self, monkeypatch, spec, publisher=None):
         """Start an instance whose attach blocks until stop() has set

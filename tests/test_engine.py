@@ -412,6 +412,34 @@ class TestHandleStatus:
                                     FakeMem())
         assert resp.kind == "continue"
 
+    def test_an_ended_connection_is_enotconn(self):
+        """After its FIN and then the peer's, the socket names no peer but
+        the kernel keeps it: the answer is the kernel's ENOTCONN, neither
+        spoofed nor continued."""
+        with socket.socket() as srv, socket.socket() as cli:
+            srv.bind(("127.0.0.1", 0))
+            srv.listen(1)
+            cli.connect(srv.getsockname())
+            cli.shutdown(socket.SHUT_WR)
+            conn, _ = srv.accept()
+            with conn:
+                assert conn.recv(1) == b""
+            assert cli.recv(1) == b""
+            with pytest.raises(OSError) as unsupervised:
+                cli.getpeername()
+            rec = trackable()
+            rec.transition(SocketStatus.SWITCHED)
+            rec.spoofed_peer = ("10.4.0.2", 80)
+            rec.host_peer = srv.getsockname()
+            d = RemoteFd(1000, 3, os.dup(cli.fileno()))
+            try:
+                resp = engine.handle_status(make_event(args=(3, 0x40, 0x80)),
+                                            rec, d, FakeChannel(), FakeMem())
+            finally:
+                d.close()
+        assert unsupervised.value.errno == errno.ENOTCONN
+        assert (resp.kind, resp.err) == ("error", errno.ENOTCONN)
+
     def test_stale_cookie_after_write_degrades_to_continue(self, rewritten):
         mem = FakeMem()
         chan = FakeChannel()

@@ -25,9 +25,12 @@ importlib.import_module(sys.argv[1])
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-# socket.py and its selectors: the supervisor path uses _socket itself
+# socket.py and its selectors: the supervisor path uses _socket itself;
+# logging and what it loads: imported at a process's first message only
+_LOGGING = {"logging", "traceback", "tokenize", "linecache", "textwrap",
+            "string"}
 _SUPERVISOR_PATH = {"dataclasses", "inspect", "hashlib", "http.client", "ssl",
-                    "socket", "selectors", "array"}
+                    "socket", "selectors", "array", *_LOGGING}
 
 # entry point -> modules its import must not add
 EXCLUDED = {
@@ -36,7 +39,7 @@ EXCLUDED = {
     "b4ns.supervisor": _SUPERVISOR_PATH,
     "b4ns.cli": {"http.server", "http.client", "socketserver",
                  "urllib.request", "ssl", "b4ns.daemon", "b4ns.kvs",
-                 "b4ns.bench", "socket", "selectors", "array"},
+                 "b4ns.bench", "socket", "selectors", "array", *_LOGGING},
     "b4ns.target_shim": {"logging", "hashlib", "dataclasses", "b4ns.notify",
                          "b4ns.registry"},
 }

@@ -97,6 +97,7 @@ class TestHttpKvs:
         host, port = srv.server_address
         yield HttpKvs(f"http://{host}:{port}"), backing
         srv.shutdown()
+        srv.server_close()
 
     def test_roundtrip_through_rest_server(self, served):
         client, backing = served
@@ -116,6 +117,7 @@ class TestHttpKvs:
         srv.shutdown()
         # not after serve_forever's next 0.5 s poll
         assert time.monotonic() - t0 < 0.1
+        srv.server_close()
 
     def test_unreachable_endpoint_raises(self):
         client = HttpKvs("http://127.0.0.1:1", timeout=0.3)

@@ -3,6 +3,7 @@ which events touch the registry, that a number is only decoded for the
 arch it belongs to, and what a connect reads and keeps."""
 
 import errno
+import logging
 import os
 import socket
 import struct
@@ -343,3 +344,39 @@ class TestConnection:
         assert sup.chan.validate_calls == 1
         assert sup.registry.snapshot() == []
         assert sup.audit == [(6, "connect", "switch")]
+
+
+class TestLogging:
+    def test_a_handler_error_and_a_rollback_are_logged(self, caplog):
+        """Logger names, levels and messages as before, though the
+        supervisor path imports logging only at its first message."""
+        sup, srv = supervisor(TestConnection.ENV)
+
+        def fails(tid):
+            raise RuntimeError("handler bug")
+
+        with srv, socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            events = [make_event(cookie=2),
+                      bind_to_busy_host_port(sup, srv, busy)]
+
+            def next_event():
+                if not events:
+                    raise ChannelClosed("no more events")
+                ev = events.pop()
+                if ev.cookie == 2:
+                    sup.mem.tgid = fails
+                return ev
+
+            sup.chan.next_event = next_event
+            with caplog.at_level(logging.INFO, logger="b4ns"):
+                sup.run()
+        assert [(c, r.kind) for c, r in sup.chan.responses] == [
+            (1, "continue"), (2, "continue")]
+        logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert logged[0][:2] == ("b4ns.engine", logging.INFO)
+        assert logged[0][2].startswith("switch of (1000,3) rolled back: ")
+        assert logged[1] == ("b4ns.supervisor", logging.ERROR,
+                             "handler error; continuing target syscall")
+        assert caplog.records[1].exc_info[0] is RuntimeError

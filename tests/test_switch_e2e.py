@@ -583,8 +583,8 @@ class TestRewriteAndSpoof:
                          {"op": "serve_echo"}]
         client_script = [{"op": "socket"},
                          {"op": "connect", "host": "10.4.0.2", "port": 80},
-                         {"op": "echo_roundtrip", "bytes": 1 << 16},
                          {"op": "getpeername"},
+                         {"op": "echo_roundtrip", "bytes": 1 << 16},
                          {"op": "close"}]
         srv = supervise(tmp_path, server_script, env=env, name="srv")
         assert srv.readline()["ok"]
@@ -666,6 +666,32 @@ class TestRewriteAndSpoof:
         assert after == ctl.result("getpeername")
         assert after["ok"] == reconnect
 
+    def test_getpeername_once_ended_is_the_kernels(self, tmp_path,
+                                                   echo_server):
+        """A rewritten connection read to EOF after its own shutdown and
+        the peer's close has ended: getpeername gives ENOTCONN, as the
+        same calls do unsupervised."""
+        tail = [{"op": "send_pattern", "bytes": 4096}, {"op": "shutdown"},
+                {"op": "recv_digest", "bytes": 4097},  # to EOF
+                {"op": "getpeername"}, {"op": "close"}]
+        run = supervise(tmp_path, [
+            {"op": "socket"},
+            {"op": "connect", "host": "10.4.0.2", "port": 80},
+            {"op": "getpeername"}] + tail,
+            env=to_host(echo_server.host, echo_server.port))
+        run.wait()
+        ctl = run_control(tmp_path, [
+            {"op": "socket"},
+            {"op": "connect", "host": echo_server.host,
+             "port": echo_server.port}] + tail, netns="host")
+        assert run.result("recv_digest") == ctl.result("recv_digest")
+        assert run.result("recv_digest")["bytes"] == 4096
+        spoofed, ended = run.results("getpeername")
+        assert (spoofed["addr"], spoofed["port"]) == ("10.4.0.2", 80)
+        assert ended == ctl.result("getpeername")
+        assert (ended["ok"], ended["err"]) == (False, errno.ENOTCONN)
+        assert run.sup.counters.sockets_switched == 1
+
     def test_dup2_over_rewritten_fd_reports_the_real_peer(self, tmp_path,
                                                            echo_server):
         hport = 18089
@@ -732,8 +758,8 @@ class TestRewriteLeavesMemoryAlone:
         script = [{"op": "socket", "flags": flags},
                   {"op": "connect_raw", "host": "10.4.0.2", "port": 80},
                   {"op": "await_connect"},
-                  {"op": "echo_roundtrip", "bytes": 1 << 16},
                   {"op": "getpeername"},
+                  {"op": "echo_roundtrip", "bytes": 1 << 16},
                   {"op": "close"}]
         run = supervise(tmp_path, script,
                         env=to_host(echo_server.host, echo_server.port))
