@@ -26,7 +26,6 @@ from . import kvs as kvs_mod
 from . import notify, probe
 from .engine import NetEnvironment, PublishMapping
 from .errors import (
-    AttachFailed,
     DuplicateContainer,
     HandoffFailed,
     NamespaceUnavailable,
@@ -114,7 +113,8 @@ class ManagedInstance:
         self.error = None
         self.supervisor = None
         self.probe_cache = None
-        self._attaching = True
+        # readable, it ends the handoff wait; None once that wait is over
+        self._stop_fd = os.eventfd(0, os.EFD_CLOEXEC)
         self._thread = None
         self._lock = threading.Lock()
 
@@ -139,12 +139,14 @@ class ManagedInstance:
             return
         try:
             chan = notify.attach(spec.seccomp_handoff_path,
-                                 timeout=self.attach_timeout)
+                                 timeout=self.attach_timeout,
+                                 stop_fd=self._stop_fd)
         except (HandoffFailed, UnsupportedKernel, OSError) as e:
             self._failed(f"AttachFailed: {e}")
             return
         with self._lock:
-            self._attaching = False
+            os.close(self._stop_fd)
+            self._stop_fd = None
             stopped = self.state != "starting"  # stop() came during attach
         if stopped:
             chan.close()  # nothing started and nothing published yet
@@ -187,7 +189,8 @@ class ManagedInstance:
 
     def _failed(self, error):
         with self._lock:
-            self._attaching = False
+            os.close(self._stop_fd)
+            self._stop_fd = None
             if self.state == "starting":  # a stopped one stays stopped
                 self.state = "failed"
                 self.error = error
@@ -203,12 +206,13 @@ class ManagedInstance:
         with self._lock:
             if self.state in ("stopped", "failed"):
                 return
-            if self._attaching:
-                # no supervisor to wake, and nothing started or published:
+            if self._stop_fd is not None:
+                # nothing started or published: the handoff wait ends, and
                 # _run closes whatever channel the attach returns
                 self.state = "stopped"
-                return
-            self.state = "stopping"
+                os.eventfd_write(self._stop_fd, 1)
+            else:
+                self.state = "stopping"
         sup = self.supervisor
         if sup is not None:
             sup.chan.wake()  # the loop ends with ChannelClosed and closes it
@@ -257,8 +261,7 @@ class Daemon:
             handoff_dir = os.path.dirname(spec.seccomp_handoff_path) or "."
             if not os.path.isdir(handoff_dir):
                 inst = ManagedInstance(spec)
-                inst.state = "failed"
-                inst.error = f"AttachFailed: no such directory {handoff_dir}"
+                inst._failed(f"AttachFailed: no such directory {handoff_dir}")
                 self._instances[spec.container_id] = inst
                 return inst.status()
             inst = ManagedInstance(

@@ -141,9 +141,9 @@ SwitchDecision.SWITCH = SwitchDecision("switch")
 
 
 def decide(op, env: NetEnvironment, probes=None, multinode=None):
-    """Verdict for one connect/bind attempt on a socket the caller found
-    switchable and not marked otherwise.  Uncertainty degrades to ignore:
-    the unswitched path is slow but always correct."""
+    """Verdict for one connect or bind attempt (``op``'s kind) on a socket
+    the caller found switchable and not marked otherwise.  Uncertainty
+    degrades to ignore: the unswitched path is slow but always correct."""
     kind, family, addr, port = op
     if family != AF_INET or addr is None:
         return SwitchDecision.IGNORE
@@ -152,9 +152,6 @@ def decide(op, env: NetEnvironment, probes=None, multinode=None):
         m = env.find_published(port)
         if m is not None:
             return SwitchDecision("switch", new_dest=(m.host_addr, m.host_port))
-        return SwitchDecision.IGNORE
-
-    if kind != "connect":
         return SwitchDecision.IGNORE
 
     ip = _ipv4(addr)
@@ -282,23 +279,20 @@ def _peer_name(sock):
         return None
 
 
-def handle_status(event, rec, dup, chan, mem):
-    """The response to a getpeername: spoofed while the fd holds the socket
-    a rewrite (``rec``) injected, as ``dup`` (a held duplicate of the fd)
-    shows it, and its own getpeername names the host peer that rewrite
-    chose, handling the arguments as the kernel's move_addr_to_user does.
-    While the kernel keeps that peer but names none (connecting, or
-    ended), the answer is the kernel's ENOTCONN: continued, the call could
-    name the host peer of a handshake finished meanwhile.  Any other
-    socket, and one disconnected or connected elsewhere since, passes
-    through to the kernel."""
+def handle_status(event, rec, dup, mem):
+    """The response to a getpeername, from one getpeername on ``dup`` (a
+    held duplicate of the fd): spoofed while it names the host peer that
+    the rewrite ``rec`` chose, the arguments handled as the kernel's
+    move_addr_to_user does; where it fails, its errno, the kernel's answer
+    now (continued, the call could name the host peer of a handshake done
+    meanwhile); else continued.  A response to a notification gone since
+    fails with ENOENT, so nothing validates after the writes."""
     try:
-        if rec is None or dup.socket().getpeername() != rec.host_peer:
-            return Response.cont()
-    except OSError:  # none named
-        return (Response.failure(errno.ENOTCONN)
-                if _peer_name(dup.socket()) == rec.host_peer
-                else Response.cont())
+        peer = dup.socket().getpeername()
+    except OSError as e:
+        return Response.failure(e.errno)
+    if rec is None or peer != rec.host_peer:
+        return Response.cont()
     addr_ptr, addrlen_ptr = event.args[1], event.args[2]
     try:
         (socklen,) = struct.unpack("<i", mem.read(event.pid, addrlen_ptr, 4))
@@ -311,4 +305,4 @@ def handle_status(event, rec, dup, chan, mem):
             mem.write(event.pid, addr_ptr, raw[:socklen])
     except (MemFault, TargetGone):
         return Response.failure(errno.EFAULT)
-    return Response.success(0) if chan.validate(event) else Response.cont()
+    return Response.success(0)

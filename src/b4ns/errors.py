@@ -43,7 +43,6 @@ class FdNotAvailable(B4nsError):
 class ReplayFailed(B4nsError):
     def __init__(self, option):
         super().__init__(f"option replay failed: {option}")
-        self.option = option
 
 
 # probes / multinode
@@ -57,10 +56,6 @@ class KvsUnavailable(B4nsError):
 
 # daemon
 class DuplicateContainer(B4nsError):
-    pass
-
-
-class AttachFailed(B4nsError):
     pass
 
 

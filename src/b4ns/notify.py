@@ -256,12 +256,13 @@ class NotificationChannel:
             pass
 
 
-def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl):
+def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl, stop_fd=None):
     """Receive the notification fd over the runtime handoff socket.
 
     Binds a local stream socket at ``handoff_path``, accepts exactly one
     connection carrying one ancillary fd, acks with 0x4F, and returns a live
-    channel.  Refuses to start on kernels without fd injection.
+    channel.  Refuses to start on kernels without fd injection.  A readable
+    ``stop_fd`` ends the wait for a runtime (HandoffFailed).
     """
     try:
         os.unlink(handoff_path)
@@ -274,11 +275,15 @@ def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl):
     # so that the interpreter's next full collection (a few ms) is far off
     # instead of landing inside an early switch
     gc.collect()
-    srv.settimeout(timeout)
+    waiting = select.poll()
+    waiting.register(srv, select.POLLIN)
+    if stop_fd is not None:
+        waiting.register(stop_fd, select.POLLIN)
     try:
+        ready = dict(waiting.poll(timeout * 1000))
+        if stop_fd in ready or not ready:
+            raise HandoffFailed(f"no runtime connected to {handoff_path}")
         fd, _ = srv._accept()  # what socket.socket.accept calls
-    except TimeoutError:
-        raise HandoffFailed(f"no runtime connected to {handoff_path}")
     finally:
         srv.close()
     conn = _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM, 0, fd)

@@ -84,20 +84,23 @@ def classify_syscall(name):
     return _CLASS_TABLE.get(name, SyscallClass.NOT_HOOKED)
 
 
-def switchable(dup):
-    """True if the socket ``dup`` (a held duplicate of the target's fd) can
-    be replaced by a fresh host socket: AF_INET, TCP, in TCP_CLOSE (what
-    inet_stream_connect and inet_bind require) and unbound, since a switch
-    cannot carry a bind over.  Anything else, a non-socket included, is
-    False."""
+def tcp_state(dup):
+    """The tcpi_state of the socket ``dup`` (a held duplicate of the target's
+    fd) holds, from one TCP_INFO read; None if it is not AF_INET TCP, a
+    non-socket included.  The two rules below take a socket in TCP_CLOSE
+    (what inet_stream_connect and inet_bind require)."""
     try:
         sock = dup.socket()
-        return (sock.family == _socket.AF_INET
-                and sock.getsockopt(_socket.IPPROTO_TCP, _socket.TCP_INFO,
-                                    1)[0] == TCP_CLOSE
-                and sock.getsockname() == _UNBOUND)
+        return (sock.getsockopt(_socket.IPPROTO_TCP, _socket.TCP_INFO, 1)[0]
+                if sock.family == _socket.AF_INET else None)
     except OSError:  # not a socket, or no TCP_INFO: not TCP
-        return False
+        return None
+
+
+def switchable(dup):
+    """True if the socket ``dup`` holds can be replaced by a fresh host
+    socket: it is unbound, since a switch cannot carry a bind over."""
+    return dup.socket().getsockname() == _UNBOUND
 
 
 @functools.cache
@@ -115,20 +118,16 @@ def _own_netns():
 
 def injected(dup, pid, mem):
     """True if ``dup`` (a held duplicate of process ``pid``'s fd) holds a
-    host socket that could connect or bind again: an AF_INET TCP socket in
-    TCP_CLOSE, living in this process's network namespace while ``pid``
-    lives in another (``mem.netns``).  Only a switch puts one there, and
-    what it does next happens in the host's network."""
+    host socket that could connect or bind again: one living in this
+    process's network namespace while ``pid`` lives in another
+    (``mem.netns``).  Only a switch puts one there, and what it does next
+    happens in the host's network."""
     cookie, netns = _own_netns()
     try:
-        sock = dup.socket()
-        return (sock.family == _socket.AF_INET
-                and sock.getsockopt(_socket.IPPROTO_TCP, _socket.TCP_INFO,
-                                    1)[0] == TCP_CLOSE
-                and sock.getsockopt(_socket.SOL_SOCKET, SO_NETNS_COOKIE,
-                                    8) == cookie
+        return (dup.socket().getsockopt(_socket.SOL_SOCKET, SO_NETNS_COOKIE,
+                                        8) == cookie
                 and mem.netns(pid) != netns)
-    except OSError:  # not a TCP socket, or the process has exited
+    except OSError:  # the process has exited
         return False
 
 
@@ -186,13 +185,12 @@ class SocketRecord:
     __slots__ = ("pid", "fd", "status", "options", "spoofed_peer", "inode",
                  "host_peer")
 
-    def __init__(self, pid, fd, status=SocketStatus.UNKNOWN, options=None,
-                 spoofed_peer=None, inode=None):
+    def __init__(self, pid, fd, status=SocketStatus.UNKNOWN, inode=None):
         self.pid = pid
         self.fd = fd
         self.status = status
-        self.options = [] if options is None else options
-        self.spoofed_peer = spoofed_peer  # (addr, port)
+        self.options = []
+        self.spoofed_peer = None  # (addr, port)
         self.inode = inode  # of the socket the fd holds; None if none
         # the (addr, port) a rewrite connected the host socket to, as the
         # kernel names it; None if that connect failed at once

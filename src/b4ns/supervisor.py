@@ -22,6 +22,8 @@ from .registry import (
     injected,
     switchable,
     SyscallClass,
+    TCP_CLOSE,
+    tcp_state,
 )
 from .sysnr import AUDIT_ARCH_X86_64, HOOKED_SYSCALLS, NR, UNHOOKED_IOCTLS
 from .targetmem import MemService
@@ -74,7 +76,6 @@ class SupervisorInstance:
         self._handlers = {NR[name]: (name, by_class[classify_syscall(name)])
                           for name in HOOKED_SYSCALLS}
         self._thread = None
-        self.running = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -82,14 +83,12 @@ class SupervisorInstance:
         self._thread = threading.Thread(target=self.run, daemon=True,
                                         name="b4ns-supervisor")
         self._thread.start()
-        return self._thread
 
     def join(self, timeout=None):
         if self._thread is not None:
             self._thread.join(timeout)
 
     def run(self):
-        self.running = True
         try:
             while True:
                 try:
@@ -110,7 +109,6 @@ class SupervisorInstance:
                     except Exception:
                         pass
         finally:
-            self.running = False
             self._teardown()
 
     def _teardown(self):
@@ -157,8 +155,7 @@ class SupervisorInstance:
             return "status", Response.cont()
         try:
             rec = self.registry.lookup(event.pid, event.fd_arg, dup)
-            return "status", engine.handle_status(event, rec, dup, self.chan,
-                                                  self.mem)
+            return "status", engine.handle_status(event, rec, dup, self.mem)
         finally:
             dup.close()
 
@@ -210,6 +207,9 @@ class SupervisorInstance:
             return "continue", Response.cont()
         try:
             rec = self.registry.lookup(event.pid, event.fd_arg, dup)
+            if tcp_state(dup) != TCP_CLOSE:
+                # not AF_INET TCP, or connected, connecting or listening
+                return "continue", Response.cont()
             fresh = ((rec is None or rec.status is SocketStatus.TRACKABLE)
                      and switchable(dup))
             host = not fresh and injected(dup, event.pid, self.mem)

@@ -118,10 +118,11 @@ class ScriptRunner:
     # -- socket lifecycle ----------------------------------------------------
 
     def op_socket(self, op):
-        """op["flags"] (e.g. SOCK_NONBLOCK) is OR'd into the socket type;
-        op["family"] defaults to AF_INET."""
+        """op["flags"] (e.g. SOCK_NONBLOCK) is OR'd into op["type"], which
+        defaults to SOCK_STREAM; op["family"] defaults to AF_INET."""
         s = socket.socket(op.get("family", socket.AF_INET),
-                          socket.SOCK_STREAM | op.get("flags", 0))
+                          op.get("type", socket.SOCK_STREAM)
+                          | op.get("flags", 0))
         self.socks[op.get("sock", "s0")] = s
 
     def op_close(self, op):

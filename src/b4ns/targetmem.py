@@ -108,13 +108,12 @@ def _pidfd_tgid(pidfd):
 
 
 class RemoteFd:
-    """Supervisor-side duplicate of a target fd (same open file description)."""
+    """Supervisor-side duplicate of a target fd (same open file description):
+    of fd ``remote_fd`` of process ``pid``, only the duplicate is kept."""
 
-    __slots__ = ("pid", "remote_fd", "local_fd", "_sock")
+    __slots__ = ("local_fd", "_sock")
 
     def __init__(self, pid, remote_fd, local_fd):
-        self.pid = pid
-        self.remote_fd = remote_fd
         self.local_fd = local_fd
         self._sock = None
 

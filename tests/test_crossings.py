@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import time
+from socket import AF_UNSPEC, SOCK_DGRAM, SOCK_STREAM
 
 import pytest
 
@@ -89,6 +90,15 @@ sup.run()
 """ % {"container": CONTAINER, "ignored": IGNORED, "rewritten": REWRITTEN,
        "published": PUBLISHED}
 
+REWRITE = {"op": "connect", "host": REWRITTEN[0], "port": REWRITTEN[1]}
+# the rewritten connect; the record the last round's rewrite kept is found
+# stale by its inode (newfstatat), and the new one needs the host socket's
+REWRITE_CONNECT = {
+    "ioctl:recv": 1, "pidfd_getfd": 1, "newfstatat": 2, "getsockname": 2,
+    "getsockopt": 9, "pread64": 2, "ioctl:id_valid": 1, "socket": 1,
+    "connect": 1, "fcntl": 1, "ioctl:addfd": 1, "close": 2,
+    "ioctl:send": 1}
+
 # path -> (its ops after the socket op, then the socket is closed; the
 # count each of its notifications makes in a steady round)
 PATHS = {
@@ -97,30 +107,44 @@ PATHS = {
         "ioctl:recv": 1, "pidfd_getfd": 1, "getsockname": 2,
         "getsockopt": 8, "pread64": 2, "ioctl:id_valid": 1, "socket": 1,
         "ioctl:addfd": 1, "close": 2, "ioctl:send": 1}]),
-    # step 5; the record the last round's rewrite kept is found stale by
-    # its inode (newfstatat), and the new one needs the host socket's
-    "rewrite": ([{"op": "connect", "host": REWRITTEN[0],
-                  "port": REWRITTEN[1]}, {"op": "getpeername"}], [{
-        "ioctl:recv": 1, "pidfd_getfd": 1, "newfstatat": 2,
-        "getsockname": 2, "getsockopt": 9, "pread64": 2,
-        "ioctl:id_valid": 1, "socket": 1, "connect": 1, "fcntl": 1,
-        "ioctl:addfd": 1, "close": 2, "ioctl:send": 1}, {
+    # step 5
+    "rewrite": ([REWRITE, {"op": "getpeername"}], [REWRITE_CONNECT, {
         "ioctl:recv": 1, "pidfd_getfd": 1, "newfstatat": 1,
         "getsockname": 1, "getpeername": 1, "pread64": 1, "pwrite64": 2,
-        "ioctl:id_valid": 1, "close": 1, "ioctl:send": 1}]),
+        "close": 1, "ioctl:send": 1}]),
+    # a rewritten socket disconnected (AF_UNSPEC, continued: it is not in
+    # TCP_CLOSE), then asked its peer: the duplicate's ENOTCONN answers
+    "disconnected": ([REWRITE, {"op": "connect_raw", "host": "0.0.0.0",
+                                "port": 0, "family": AF_UNSPEC},
+                      {"op": "getpeername"}], [REWRITE_CONNECT, {
+        "ioctl:recv": 1, "pidfd_getfd": 1, "newfstatat": 1,
+        "getsockname": 1, "getsockopt": 1, "close": 1, "ioctl:send": 1}, {
+        "ioctl:recv": 1, "pidfd_getfd": 1, "newfstatat": 1,
+        "getsockname": 1, "getpeername": 1, "close": 1,
+        "ioctl:send": 1}]),
     # the target shares the supervisor's namespace here, so the injected
     # check reads the namespace cookie and stats /proc/<pid>/ns/net, where
-    # a container's socket would fail at the cookie
+    # a container's socket would fail at the cookie; the one TCP_INFO read
+    # serves it as it serves the switch test
     "ignore": ([{"op": "connect", "host": IGNORED, "port": "ECHO"}], [{
         "ioctl:recv": 1, "pidfd_getfd": 1, "getsockname": 2,
-        "getsockopt": 3, "pread64": 1, "ioctl:id_valid": 1,
+        "getsockopt": 2, "pread64": 1, "ioctl:id_valid": 1,
         "newfstatat": 1, "close": 1, "ioctl:send": 1}]),
+    # not TCP: its failed TCP_INFO read continues it, as it does a glibc
+    # resolver's connect for each query
+    "udp": ([{"op": "connect", "host": IGNORED, "port": "ECHO"}], [{
+        "ioctl:recv": 1, "pidfd_getfd": 1, "getsockname": 1,
+        "getsockopt": 1, "close": 1, "ioctl:send": 1}]),
     "bind": ([{"op": "bind", "host": PUBLISHED[0], "port": PUBLISHED[1]}], [{
         "ioctl:recv": 1, "pidfd_getfd": 1, "getsockname": 2,
         "getsockopt": 8, "pread64": 2, "ioctl:id_valid": 1, "socket": 1,
         "setsockopt": 1, "bind": 1, "ioctl:addfd": 1, "close": 2,
         "ioctl:send": 1}]),
 }
+
+
+# the socket type a path's socket op makes, where not SOCK_STREAM
+SOCKET_TYPES = {"udp": SOCK_DGRAM}
 
 
 def _name(event):
@@ -215,10 +239,11 @@ def counted(tmp_path_factory):
 def _script(port, rounds):
     """Each path's rounds in PATHS order, ECHO replaced by ``port``."""
     script = []
-    for ops, _ in PATHS.values():
+    for path, (ops, _) in PATHS.items():
         ops = [dict(op, port=port) if op.get("port") == "ECHO" else op
                for op in ops]
-        script += ([{"op": "socket"}] + ops + [{"op": "close"}]) * rounds
+        opener = {"op": "socket", "type": SOCKET_TYPES.get(path, SOCK_STREAM)}
+        script += ([opener] + ops + [{"op": "close"}]) * rounds
     return script
 
 
@@ -287,6 +312,6 @@ def test_a_clean_session_never_loads_logging(tmp_path):
         echo.close()
     assert sup.returncode == 0
     *_, counters, loaded = out.splitlines()
-    # the plain switch, the rewrite and the bind
-    assert json.loads(counters)["sockets_switched"] == 3
+    # the plain switch, the two rewrites and the bind
+    assert json.loads(counters)["sockets_switched"] == 4
     assert loaded == "False"

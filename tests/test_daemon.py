@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -18,8 +19,7 @@ from b4ns.daemon import (
     serve_api,
 )
 from b4ns.engine import PublishMapping, unprivileged_port_start
-from b4ns.errors import (ChannelClosed, DuplicateContainer, HandoffFailed,
-                         UnknownContainer)
+from b4ns.errors import ChannelClosed, DuplicateContainer, UnknownContainer
 
 from conftest import launch_shim, ShimRun
 
@@ -319,16 +319,7 @@ class TestDaemonDirect:
         st = inst.status()
         assert (st.state, st.error) == ("stopped", None)
 
-    def test_duplicate_raises_at_daemon_layer(self, tmp_path, monkeypatch):
-        # no runtime comes: a real attach would hold the handoff socket
-        # until its timeout, long after this test
-        release = threading.Event()
-
-        def attach(path, timeout):
-            release.wait(10)
-            raise HandoffFailed("no runtime connected")
-
-        monkeypatch.setattr(notify, "attach", attach)
+    def test_duplicate_raises_at_daemon_layer(self, tmp_path):
         d = Daemon(node_id="n")
         try:
             spec = ContainerSpec("x", str(tmp_path / "x.sock"))
@@ -339,8 +330,32 @@ class TestDaemonDirect:
             with pytest.raises(UnknownContainer):
                 d.status("y")
         finally:
+            d.shutdown()  # no runtime came: the handoff wait ends here
+
+    @pytest.mark.parametrize("via", ["stop", "shutdown"])
+    def test_stop_during_the_handoff_ends_it(self, tmp_path, via):
+        """Once stop() or Daemon.shutdown() returns, the real attach has
+        stopped waiting: the instance's thread has exited, and the handoff
+        path refuses a runtime, which could otherwise be handed a channel
+        that is closed at once."""
+        spec = ContainerSpec("h", str(tmp_path / "h.sock"))
+        d = Daemon(node_id="n")
+        d.start_instance(spec)
+        (inst,) = d._instances.values()
+        deadline = time.monotonic() + 5
+        while not os.path.exists(spec.seccomp_handoff_path):
+            assert time.monotonic() < deadline, "the handoff never listened"
+            time.sleep(0.005)
+        if via == "stop":
+            d.stop_instance("h")
+        else:
             d.shutdown()
-            release.set()
+        assert not inst._thread.is_alive()
+        with socket.socket(socket.AF_UNIX) as runtime:
+            with pytest.raises(ConnectionRefusedError):
+                runtime.connect(spec.seccomp_handoff_path)
+        st = inst.status()
+        assert (st.state, st.error) == ("stopped", None)
 
     def _stop_during_attach(self, monkeypatch, spec, publisher=None):
         """Start an instance whose attach blocks until stop() has set
@@ -349,7 +364,8 @@ class TestDaemonDirect:
         entered, release = threading.Event(), threading.Event()
         chan = IdleChannel()
 
-        def blocked_attach(path, timeout):
+        def blocked_attach(path, timeout, stop_fd):
+            # deaf to stop_fd: the runtime's handoff races the stop
             entered.set()
             release.wait(10)
             return chan

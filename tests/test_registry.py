@@ -19,6 +19,8 @@ from b4ns.registry import (
     copy_options,
     replay_options,
     switchable,
+    TCP_CLOSE,
+    tcp_state,
 )
 from b4ns.targetmem import RemoteFd
 
@@ -308,7 +310,7 @@ class TestSwitchable:
     def test_non_socket(self, tmp_path):
         with open(tmp_path / "f", "w") as f:
             dup = RemoteFd(1, 3, os_dup_fd(f.fileno()))
-            assert not switchable(dup)
+            assert tcp_state(dup) is None
             dup.close()
 
 
@@ -445,10 +447,11 @@ def test_transition_sequences_never_corrupt_state(seq):
 
 
 def live_switchable(sock):
-    """``switchable`` on a duplicate of ``sock``, as a connect probes it."""
+    """The switch test on a duplicate of ``sock``, as a connect probes it:
+    one TCP-state read, then ``switchable`` on a socket in TCP_CLOSE."""
     dup = RemoteFd(1, 3, os_dup(sock))
     try:
-        return switchable(dup)
+        return tcp_state(dup) == TCP_CLOSE and switchable(dup)
     finally:
         dup.close()
 

@@ -10,7 +10,7 @@ import pytest
 
 from b4ns.errors import FdNotAvailable, MemFault, TargetGone
 from b4ns.notify import NotificationChannel
-from b4ns.registry import switchable
+from b4ns.registry import TCP_CLOSE, switchable, tcp_state
 from b4ns.targetmem import (
     MAX_RW,
     MemService,
@@ -152,7 +152,7 @@ class TestAcquireFd:
         try:
             assert not os.get_inheritable(dup.local_fd)
             # an unconnected TCP socket: AF_INET, TCP_CLOSE and unbound
-            assert switchable(dup)
+            assert tcp_state(dup) == TCP_CLOSE and switchable(dup)
         finally:
             dup.close()
 
