@@ -8,6 +8,7 @@ benchmark are imported by the commands and options that use them.
 import argparse
 import json
 import os
+import resource
 import signal
 import sys
 import threading
@@ -22,6 +23,19 @@ ENV_KVS_ENDPOINT = "B4NS_KVS_ENDPOINT"
 DEFAULT_API_SOCKET = "/run/b4nsd.sock"
 
 
+def _raise_fd_limit():
+    """Lift the soft limit on open fds to the hard limit, as Go programs
+    do at start since Go 1.19.  A supervisor holds three fds for each
+    process it has switched a socket for, and once opens fail with EMFILE
+    every call it is notified of stays unswitched."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != hard:
+        try:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (hard, hard))
+        except ValueError:  # EPERM: a hard limit above fs.nr_open
+            pass  # serve with the soft limit as it is
+
+
 def main_daemon(argv=None):
     ap = argparse.ArgumentParser(
         prog="b4nsd", description="socket-switching supervisor daemon")
@@ -32,6 +46,7 @@ def main_daemon(argv=None):
     ap.add_argument("--node-id", default=None)
     args = ap.parse_args(argv)
 
+    _raise_fd_limit()
     from . import daemon as daemon_mod
     d = daemon_mod.Daemon(kvs_endpoint=args.kvs, node_id=args.node_id)
     srv = daemon_mod.serve_api(d, args.api_socket)
@@ -102,6 +117,7 @@ def main_b4ns(argv=None):
         mirror.refresh_now()
         mirror.start_background()
 
+    _raise_fd_limit()
     print(f"waiting for runtime handoff on {args.handoff}", flush=True)
     try:
         chan = notify.attach(args.handoff, timeout=60.0)

@@ -72,19 +72,17 @@ class NetEnvironment:
     def __init__(self, container_cidrs=(), published_ports=(),
                  host_loopback_allowed=False):
         # each CIDR an ip_network or its text
-        self.container_cidrs = [
-            ipaddress.ip_network(c) if isinstance(c, str) else c
-            for c in container_cidrs
-        ]
+        nets = [ipaddress.ip_network(c) if isinstance(c, str) else c
+                for c in container_cidrs]
         self.published_ports = list(published_ports)
         self.host_loopback_allowed = host_loopback_allowed
-        for i, a in enumerate(self.container_cidrs):
-            for b in self.container_cidrs[i + 1:]:
+        for i, a in enumerate(nets):
+            for b in nets[i + 1:]:
                 if a.overlaps(b):
                     raise ValueError(f"overlapping container CIDRs: {a}, {b}")
         # (network, mask) as integers: connect matches without ipaddress
         self._v4_nets = [(int(n.network_address), int(n.netmask))
-                         for n in self.container_cidrs if n.version == 4]
+                         for n in nets if n.version == 4]
         seen = set()
         for m in self.published_ports:
             if m.container_port in seen:
@@ -93,10 +91,6 @@ class NetEnvironment:
             if 0 < m.host_port < unprivileged_port_start():
                 raise ValueError(
                     f"host port {m.host_port} not bindable without privileges")
-
-    def is_container_addr(self, addr):
-        """True iff the IPv4 dotted quad ``addr`` is in a container CIDR."""
-        return self._holds(_ipv4(addr))
 
     def _holds(self, ip):
         for net, mask in self._v4_nets:

@@ -31,10 +31,6 @@ class MemFault(B4nsError):
     """Bad address in the target; maps to EFAULT for the syscall."""
 
 
-class ReadOnlyMapping(B4nsError):
-    pass
-
-
 class FdNotAvailable(B4nsError):
     """Target fd closed or acquisition denied; socket is non-switchable."""
 

@@ -232,11 +232,11 @@ class SocketRegistry:
 
     def ensure_registered(self, pid, fd, mem):
         """Return the record for (pid, fd), or None if the fd holds no
-        socket.  A configuration call names the fd, and the one
-        ``mem.fd_inode`` readlink identifies it: nothing is duplicated or
-        probed, since connect and bind decide from the live socket.  A
-        record whose socket the fd no longer holds is dropped through
-        on_close; a socket seen first gets a TRACKABLE record."""
+        socket.  A configuration call names the fd, and one readlink of
+        /proc/<tgid>/fd/<fd> (``mem.fd_inode``) identifies it: nothing is
+        duplicated or probed, since connect and bind decide from the live
+        socket.  A record whose socket the fd no longer holds is dropped
+        through on_close; a socket seen first gets a TRACKABLE record."""
         inode = mem.fd_inode(pid, fd)
         with self._lock:
             rec = self.get(pid, fd)

@@ -2,11 +2,17 @@
 
 Memory goes through /proc/<pid>/mem.  Fd duplicates come from
 pidfd_getfd(2), through a pidfd per process that also tells when the
-process exits.  An fd's flags
-and identity are read through the process's /proc/<pid>/fdinfo and
-/proc/<pid>/fd directories, each opened once, and the flags through one
-fdinfo file per process, held open while the same fd number is asked.
+process exits.  An fd's flags are read through one
+/proc/<pid>/fdinfo/<fd> file per process, held open while the same fd
+number is asked, and its identity from the link /proc/<pid>/fd/<fd>.  A
+process so holds three fds: its pidfd, its memory and that fdinfo file.
 A thread id is mapped to its process through the thread's own pidfd.
+
+A path that names the process by its id reaches the process that a held
+handle would: while its notification is pending, the calling thread
+keeps the thread group alive, and a process's exit callback runs before
+any later notification (NotificationChannel.watch), so before its id can
+be reused.
 """
 
 import _socket
@@ -17,7 +23,7 @@ import functools
 import os
 import struct
 
-from .errors import FdNotAvailable, MemFault, ReadOnlyMapping, TargetGone
+from .errors import FdNotAvailable, MemFault, TargetGone
 
 _libc = ctypes.CDLL(None, use_errno=True)
 
@@ -56,8 +62,6 @@ class MemHandle:
         try:
             n = os.pwrite(self._fd, data, addr)
         except OSError as e:
-            if e.errno == errno.EACCES:
-                raise ReadOnlyMapping(f"read-only mapping at {addr:#x}")
             raise _mem_oserr(e, self.pid)
         if n != len(data):
             raise MemFault(f"short write at {addr:#x}")
@@ -154,20 +158,19 @@ class _Process:
     """One supervised process (thread group), as the memory service holds
     it; all but the pidfds are opened when first needed."""
 
-    __slots__ = ("tgid", "pidfd", "threads", "mem", "dirs", "fdinfo")
+    __slots__ = ("tgid", "pidfd", "threads", "mem", "fdinfo")
 
     def __init__(self, tgid, pidfd):
         self.tgid = tgid
         self.pidfd = pidfd
         self.threads = {}  # tid -> its thread pidfd
         self.mem = None  # MemHandle
-        self.dirs = ()  # /proc/<tgid>/fd and /proc/<tgid>/fdinfo
         self.fdinfo = ()  # (fd number, open /proc/<tgid>/fdinfo/<fd>)
 
 
 class MemService:
-    """Per-process memory handles, pidfds and /proc directory fds.  A
-    ``pid`` argument may name any thread.
+    """Per-process memory handles, pidfds and fdinfo files.  A ``pid``
+    argument may name any thread.
 
     With ``chan``, every pidfd opened is watched in the channel's poll: when
     a process exits, ``on_exit(tgid)`` runs and the process is forgotten;
@@ -255,20 +258,6 @@ class MemService:
         except MemFault:
             self._reopened(pid, h).write(addr, data)
 
-    def _proc_dirs(self, proc):
-        if not proc.dirs:
-            dirs = []
-            try:
-                for name in ("fd", "fdinfo"):
-                    dirs.append(os.open(f"/proc/{proc.tgid}/{name}",
-                                        os.O_RDONLY | os.O_DIRECTORY))
-            except OSError:
-                for d in dirs:
-                    os.close(d)
-                raise TargetGone(f"pid {proc.tgid} exited")
-            proc.dirs = tuple(dirs)
-        return proc.dirs
-
     def fd_flags(self, pid, fd):
         """Open flags of the target's fd, O_CLOEXEC included when
         close-on-exec is set on it, as /proc/<pid>/fdinfo/<fd> reports
@@ -286,7 +275,7 @@ class MemService:
                 if held:
                     os.close(held[1])
                 held = proc.fdinfo = (fd, os.open(
-                    str(fd), os.O_RDONLY, dir_fd=self._proc_dirs(proc)[1]))
+                    f"/proc/{proc.tgid}/fdinfo/{fd}", os.O_RDONLY))
             # raw os calls: a text-mode read costs several times as much,
             # and this runs once per switched connect
             text = os.pread(held[1], 256, 0)
@@ -299,8 +288,7 @@ class MemService:
         /proc/<pid>/fd/<fd> names it; None if the fd is not open or not a
         socket."""
         try:
-            link = os.readlink(str(fd),
-                               dir_fd=self._proc_dirs(self.process(pid))[0])
+            link = os.readlink(f"/proc/{self.process(pid).tgid}/fd/{fd}")
         except (OSError, TargetGone):
             return None
         return int(link[8:-1]) if link.startswith("socket:[") else None
@@ -329,8 +317,7 @@ class MemService:
             del self._by_tid[tid]
         if proc.mem is not None:
             proc.mem.close()
-        for fd in (proc.pidfd, *proc.threads.values(), *proc.dirs,
-                   *proc.fdinfo[1:]):
+        for fd in (proc.pidfd, *proc.threads.values(), *proc.fdinfo[1:]):
             if self._chan is not None:
                 self._chan.unwatch(fd)  # a pidfd; nothing for the others
             os.close(fd)

@@ -22,7 +22,7 @@ import os
 import subprocess
 import sys
 import time
-from socket import AF_UNSPEC, SOCK_DGRAM, SOCK_STREAM
+from socket import AF_UNSPEC, SO_SNDBUF, SOCK_DGRAM, SOCK_STREAM, SOL_SOCKET
 
 import pytest
 
@@ -50,8 +50,8 @@ IOCTL = 16
 NAMES = {
     3: "close", 7: "poll", 17: "pread64", 18: "pwrite64", 41: "socket",
     42: "connect", 49: "bind", 51: "getsockname", 52: "getpeername",
-    54: "setsockopt", 55: "getsockopt", 72: "fcntl", 262: "newfstatat",
-    438: "pidfd_getfd",
+    54: "setsockopt", 55: "getsockopt", 72: "fcntl", 89: "readlink",
+    262: "newfstatat", 438: "pidfd_getfd",
 }
 IOCTLS = {
     IOCTL_NOTIF_RECV: "ioctl:recv", IOCTL_NOTIF_SEND: "ioctl:send",
@@ -140,6 +140,13 @@ PATHS = {
         "getsockopt": 8, "pread64": 2, "ioctl:id_valid": 1, "socket": 1,
         "setsockopt": 1, "bind": 1, "ioctl:addfd": 1, "close": 2,
         "ioctl:send": 1}]),
+    # the configuration path: an option outside COPIED_OPTIONS is
+    # notified, the fd identified by one readlink of the path
+    # /proc/<tgid>/fd/<fd> (the last round's record is found stale by it)
+    # and the option value read
+    "configure": ([{"op": "setsockopt", "level": SOL_SOCKET,
+                    "optname": SO_SNDBUF, "value": 65536}], [{
+        "ioctl:recv": 1, "readlink": 1, "pread64": 1, "ioctl:send": 1}]),
 }
 
 

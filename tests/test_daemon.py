@@ -4,11 +4,14 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import b4ns
 from b4ns import cli, notify
 from b4ns.daemon import (
     ContainerSpec,
@@ -22,6 +25,8 @@ from b4ns.engine import PublishMapping, unprivileged_port_start
 from b4ns.errors import ChannelClosed, DuplicateContainer, UnknownContainer
 
 from conftest import launch_shim, ShimRun
+
+SRC = os.path.dirname(b4ns.__path__[0])
 
 # host ports below this one need privileges here
 PORT_START = unprivileged_port_start()
@@ -149,6 +154,8 @@ class TestApiServer:
             return servers[0]
 
         monkeypatch.setattr("b4ns.daemon.serve_api", recording_serve_api)
+        # the fd limit is raised in a subprocess (TestFdLimit), not here
+        monkeypatch.setattr(cli, "_raise_fd_limit", lambda: None)
         monkeypatch.setattr(signal, "signal",
                             lambda sig, handler: handlers.update({sig: handler}))
 
@@ -169,6 +176,40 @@ class TestApiServer:
         assert not sender.is_alive()
         assert not path.exists()
         assert servers[0].socket.fileno() == -1
+
+
+# an entry point in a fresh interpreter whose soft fd limit is half its hard
+# one: prints the soft and hard limits where the command would start to
+# serve, then exits
+FD_LIMIT = """
+import resource, sys
+from b4ns import cli, daemon, notify
+
+def serve(*args, **kwargs):
+    print(*resource.getrlimit(resource.RLIMIT_NOFILE), flush=True)
+    sys.exit(0)
+
+daemon.Daemon = notify.attach = serve
+hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+resource.setrlimit(resource.RLIMIT_NOFILE, (hard // 2, hard))
+getattr(cli, sys.argv[1])(sys.argv[2:])
+"""
+
+
+class TestFdLimit:
+    @pytest.mark.parametrize("main, argv", [
+        ("main_daemon", ["--api-socket", "unused.sock"]),
+        ("main_b4ns", ["attach", "--handoff", "unused.sock"]),
+    ])
+    def test_soft_limit_is_raised_before_serving(self, tmp_path, main, argv):
+        """b4nsd and ``b4ns attach`` serve with the soft limit on open fds
+        at the hard one, as bypass4netns, a Go program, does."""
+        out = subprocess.run(
+            [sys.executable, "-c", FD_LIMIT, main, *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=60, check=True)
+        soft, hard = map(int, out.stdout.split()[-2:])
+        assert soft == hard
 
 
 class TestApiErrors:

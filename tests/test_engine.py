@@ -131,10 +131,12 @@ class TestNetEnvironment:
         assert SwitchDecision("rewrite", new_dest=("127.0.0.1", 8080)
                               ).spoof_peer is None
 
-    def test_is_container_addr(self):
+    def test_container_cidr_membership(self):
         env = NetEnvironment(container_cidrs=["10.4.0.0/24"])
-        assert env.is_container_addr("10.4.0.7")
-        assert not env.is_container_addr("10.5.0.7")
+        assert decide(("connect", socket.AF_INET, "10.4.0.7", 80),
+                      env).verdict == "ignore"
+        assert decide(("connect", socket.AF_INET, "10.5.0.7", 80),
+                      env).verdict == "switch"
 
 
 IPV4 = st.one_of(
@@ -162,12 +164,17 @@ class TestIntegerMatchAgreesWithIpaddress:
     @example(addr="127.255.255.255",
              nets=[ipaddress.ip_network("127.0.0.0/8")])
     @example(addr="128.0.0.0", nets=[ipaddress.ip_network("127.0.0.0/8")])
-    def test_is_container_addr(self, addr, nets):
+    def test_cidr_membership_decides(self, addr, nets):
         nets = disjoint(nets)
-        # an IPv6 CIDR never holds an IPv4 address, even ::/0
-        env = NetEnvironment(container_cidrs=nets + ["::/0"])
+        # an IPv6 CIDR never holds an IPv4 address, even ::/0; with host
+        # loopback allowed and nothing published, a connect is ignored iff
+        # a container CIDR holds its address
+        env = NetEnvironment(container_cidrs=nets + ["::/0"],
+                             host_loopback_allowed=True)
         ip = ipaddress.ip_address(addr)
-        assert env.is_container_addr(addr) == any(ip in n for n in nets)
+        d = decide(("connect", socket.AF_INET, addr, 80), env)
+        assert d.verdict == ("ignore" if any(ip in n for n in nets)
+                             else "switch")
 
     @given(addr=IPV4)
     @example(addr="127.255.255.255")

@@ -66,9 +66,12 @@ class TestConnectSwitch:
 
 
 class TestAttachCommand:
-    def test_attach_switches_and_reports(self, tmp_path, echo_server, capsys):
+    def test_attach_switches_and_reports(self, tmp_path, echo_server, capsys,
+                                         monkeypatch):
         """``b4ns attach`` supervises one target until it exits, then prints
         its counters as the last stdout line."""
+        # the fd limit is raised in a subprocess (test_daemon.TestFdLimit)
+        monkeypatch.setattr(cli, "_raise_fd_limit", lambda: None)
         handoff = tmp_path / "attach.sock"
         rc = []
         attach = threading.Thread(target=lambda: rc.append(cli.main_b4ns(

@@ -1,5 +1,6 @@
 """Target memory and fd acquisition against real cooperative children."""
 
+import collections
 import os
 import signal
 import struct
@@ -30,6 +31,29 @@ sys.stdout.flush()
 """
 
 
+# a child with a PROT_READ private anonymous page and a PROT_READ shared
+# file page: prints their addresses, then, after a line on stdin, what
+# each begins with
+READ_ONLY_CHILD_SRC = r"""
+import ctypes, mmap, sys, tempfile
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mmap.restype = ctypes.c_void_p
+libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                      ctypes.c_int, ctypes.c_int, ctypes.c_long)
+f = tempfile.TemporaryFile()
+f.write(b"x" * 4096)
+f.flush()
+private = libc.mmap(None, 4096, mmap.PROT_READ,
+                    mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0)
+shared = libc.mmap(None, 4096, mmap.PROT_READ, mmap.MAP_SHARED,
+                   f.fileno(), 0)
+print(private, shared, flush=True)
+sys.stdin.readline()
+print(ctypes.string_at(private, 4).decode(),
+      ctypes.string_at(shared, 4).decode(), flush=True)
+"""
+
+
 THREADED_CHILD_SRC = r"""
 import sys, threading
 def run():
@@ -41,6 +65,17 @@ t.join()
 print("joined", flush=True)
 sys.stdin.readline()
 """
+
+
+def held_links():
+    """What each fd of this process names, counted."""
+    links = collections.Counter()
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            links[os.readlink(f"/proc/self/fd/{name}")] += 1
+        except FileNotFoundError:  # the listing's own fd, closed by now
+            pass
+    return links
 
 
 @pytest.fixture
@@ -87,6 +122,29 @@ class TestMemHandle:
         proc.stdin.write("\n")
         proc.stdin.flush()
         assert proc.stdout.readline().strip() == "WRITTEN-BY-TESTS"
+
+    def test_read_only_mappings(self):
+        """A write through the memory file forces its way into read-only
+        private memory (README Limitations); a read-only shared file
+        mapping refuses it with EIO, a MemFault."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", READ_ONLY_CHILD_SRC],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            private, shared = map(int, proc.stdout.readline().split())
+            h = open_mem(proc.pid)
+            try:
+                h.write(private, b"ABCD")
+                with pytest.raises(MemFault):
+                    h.write(shared, b"ABCD")
+            finally:
+                h.close()
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+            assert proc.stdout.readline().split() == ["ABCD", "xxxx"]
+        finally:
+            proc.kill()
+            proc.communicate()  # and close the pipes
 
     def test_null_address_faults(self, child):
         proc, _, _ = child
@@ -285,7 +343,7 @@ class TestMemService:
         finally:
             svc.close()
 
-    def test_fd_flags_and_inode_through_proc_dirs(self, child):
+    def test_fd_flags_and_inode_by_path(self, child):
         proc, _, sock_fd = child
         svc = MemService()
         fds_before = len(os.listdir("/proc/self/fd"))
@@ -297,12 +355,30 @@ class TestMemService:
             assert flags & os.O_ACCMODE == os.O_RDWR
             with pytest.raises(TargetGone):
                 svc.fd_flags(proc.pid, 777)
-            # a pidfd and the two directories, opened once
+            # the pidfd alone: the failed read held no fdinfo file, and
+            # the identity is read by path
             svc.fd_inode(proc.pid, sock_fd)
-            assert len(os.listdir("/proc/self/fd")) == fds_before + 3
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 1
         finally:
             svc.close()
         assert len(os.listdir("/proc/self/fd")) == fds_before
+
+    def test_a_process_holds_three_fds(self, child):
+        proc, addr, sock_fd = child
+        svc = MemService()
+        before = held_links()
+        try:
+            svc.read(proc.pid, addr, 4)
+            svc.fd_flags(proc.pid, sock_fd)
+            svc.fd_inode(proc.pid, sock_fd)
+            # the pidfd, the memory handle and the fdinfo file: no
+            # /proc directory
+            assert held_links() - before == collections.Counter([
+                "anon_inode:[pidfd]", f"/proc/{proc.pid}/mem",
+                f"/proc/{proc.pid}/fdinfo/{sock_fd}"])
+        finally:
+            svc.close()
+        assert held_links() == before
 
     def test_one_fdinfo_handle_per_process(self, child, monkeypatch):
         proc, _, sock_fd = child
@@ -310,8 +386,8 @@ class TestMemService:
         fds_before = len(os.listdir("/proc/self/fd"))
         try:
             flags = svc.fd_flags(proc.pid, sock_fd)
-            # a pidfd, the two directories and the held fdinfo file
-            assert len(os.listdir("/proc/self/fd")) == fds_before + 4
+            # a pidfd and the held fdinfo file
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 2
             opened = []
             real_open = os.open
 
@@ -324,9 +400,9 @@ class TestMemService:
             assert opened == []  # the same fd number: one pread
             # another fd number takes the handle's place
             assert svc.fd_flags(proc.pid, 0) & os.O_ACCMODE == os.O_RDONLY
-            assert opened == ["0"]
+            assert opened == [f"/proc/{proc.pid}/fdinfo/0"]
             monkeypatch.undo()
-            assert len(os.listdir("/proc/self/fd")) == fds_before + 4
+            assert len(os.listdir("/proc/self/fd")) == fds_before + 2
             svc.forget(proc.pid)
             assert len(os.listdir("/proc/self/fd")) == fds_before
             svc.fd_flags(proc.pid, sock_fd)
