@@ -15,7 +15,7 @@ import threading
 
 from . import notify
 from .engine import NetEnvironment, PublishMapping
-from .errors import B4nsError, EmptyTrace
+from .errors import B4nsError, EmptyTrace, HandoffFailed, UnsupportedKernel
 from .supervisor import SupervisorInstance
 
 ENV_API_SOCKET = "B4NS_API_SOCKET"
@@ -102,6 +102,14 @@ def main_b4ns(argv=None):
     ]
     env = NetEnvironment(container_cidrs=args.cidr, published_ports=mappings,
                          host_loopback_allowed=args.allow_host_loopback)
+    stop_fd = None
+    if threading.current_thread() is threading.main_thread():
+        # SIGTERM and SIGINT end the handoff wait or the loop, so that what
+        # this process published is withdrawn on the way out; a caller that
+        # runs attach in a thread of its own keeps its signals
+        stop_fd = os.eventfd(0, os.EFD_CLOEXEC)
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, lambda *a: os.eventfd_write(stop_fd, 1))
     mirror = None
     publisher = None
     if args.multinode:
@@ -117,16 +125,16 @@ def main_b4ns(argv=None):
         mirror.refresh_now()
         mirror.start_background()
 
-    _raise_fd_limit()
-    print(f"waiting for runtime handoff on {args.handoff}", flush=True)
     try:
-        chan = notify.attach(args.handoff, timeout=60.0)
-    except B4nsError as e:
-        print(f"attach failed: {e}", file=sys.stderr)
-        return 1
-    sup = SupervisorInstance(chan, env, multinode=mirror)
-    print("attached; supervising", flush=True)
-    try:
+        _raise_fd_limit()
+        print(f"waiting for runtime handoff on {args.handoff}", flush=True)
+        try:
+            chan = notify.attach(args.handoff, timeout=60.0, stop_fd=stop_fd)
+        except (HandoffFailed, UnsupportedKernel, OSError) as e:
+            print(f"attach failed: {e}", file=sys.stderr)
+            return 1
+        sup = SupervisorInstance(chan, env, multinode=mirror)
+        print("attached; supervising", flush=True)
         sup.run()
     finally:
         if publisher is not None:

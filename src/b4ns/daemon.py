@@ -112,8 +112,8 @@ class ManagedInstance:
         self.state = "starting"
         self.error = None
         self.supervisor = None
-        self.probe_cache = None
-        # readable, it ends the handoff wait; None once that wait is over
+        # the one stop signal: readable, it ends the handoff wait or the
+        # supervisor's loop; open while the state is not final
         self._stop_fd = os.eventfd(0, os.EFD_CLOEXEC)
         self._thread = None
         self._lock = threading.Lock()
@@ -124,6 +124,15 @@ class ManagedInstance:
         self._thread.start()
 
     def _run(self):
+        error = "supervisor thread raised"
+        try:
+            error = self._supervise()
+        finally:
+            self._ended(error)
+
+    def _supervise(self):
+        """Attach and supervise until the target tree exits or a stop; the
+        error that ended it before the handoff, or None."""
         spec = self.spec
         try:
             # built before the handoff: past it, a failure would leave the
@@ -135,22 +144,16 @@ class ManagedInstance:
             )
         except (ValueError, TypeError, AttributeError) as e:
             # a spec built in code: from_dict checks its own
-            self._failed(f"{type(e).__name__}: {e}")
-            return
+            return f"{type(e).__name__}: {e}"
         try:
             chan = notify.attach(spec.seccomp_handoff_path,
                                  timeout=self.attach_timeout,
                                  stop_fd=self._stop_fd)
         except (HandoffFailed, UnsupportedKernel, OSError) as e:
-            self._failed(f"AttachFailed: {e}")
-            return
-        with self._lock:
-            os.close(self._stop_fd)
-            self._stop_fd = None
-            stopped = self.state != "starting"  # stop() came during attach
-        if stopped:
+            return f"AttachFailed: {e}"
+        if self.state != "starting":  # stop() came during attach
             chan.close()  # nothing started and nothing published yet
-            return
+            return None
 
         probes = None
         if spec.probe_enabled:
@@ -164,7 +167,6 @@ class ManagedInstance:
             except NamespaceUnavailable as e:
                 log.warning("probing disabled for %s: %s", spec.container_id, e)
                 probes = probe.ProbeCache(None, src=spec.container_id)
-        self.probe_cache = probes
 
         if self.publisher is not None:
             for m in spec.publish:
@@ -174,53 +176,39 @@ class ManagedInstance:
             chan, env, probes=probes,
             multinode=self.mirror if spec.multinode_enabled else None)
         with self._lock:
-            stopped = self.state != "starting"  # stop() came since attach
-            if not stopped:
-                self.supervisor = sup
+            self.supervisor = sup
+            if self.state == "starting":  # a later stop() ends the loop
                 self.state = "running"
-        if stopped:
-            chan.close()
-        else:
-            sup.run()  # blocks until the target tree exits
-            with self._lock:
-                if self.state == "running":
-                    self.state = "stopped"
-        self._cleanup()
+        try:
+            sup.run()  # until the target tree exits or the stop fd is read
+        finally:
+            if probes is not None:
+                probes.stop()
+            if self.publisher is not None:
+                for m in spec.publish:
+                    self.publisher.withdraw(m)
+        return None
 
-    def _failed(self, error):
+    def _ended(self, error):
+        """Take the final state and close the stop eventfd, once: when the
+        thread has stopped using it, or in place of starting the thread."""
         with self._lock:
             os.close(self._stop_fd)
-            self._stop_fd = None
-            if self.state == "starting":  # a stopped one stays stopped
-                self.state = "failed"
-                self.error = error
-
-    def _cleanup(self):
-        if self.probe_cache is not None:
-            self.probe_cache.stop()
-        if self.publisher is not None:
-            for m in self.spec.publish:
-                self.publisher.withdraw(m)
+            if error is not None and self.state != "stopping":
+                self.state, self.error = "failed", error
+            else:  # the target tree exited, or stop() came first
+                self.state = "stopped"
 
     def stop(self):
+        """The same in every phase: the stop fd turns readable, which ends
+        the handoff wait or the loop, and the thread is joined."""
         with self._lock:
             if self.state in ("stopped", "failed"):
                 return
-            if self._stop_fd is not None:
-                # nothing started or published: the handoff wait ends, and
-                # _run closes whatever channel the attach returns
-                self.state = "stopped"
-                os.eventfd_write(self._stop_fd, 1)
-            else:
-                self.state = "stopping"
-        sup = self.supervisor
-        if sup is not None:
-            sup.chan.wake()  # the loop ends with ChannelClosed and closes it
+            self.state = "stopping"
+            os.eventfd_write(self._stop_fd, 1)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        with self._lock:
-            if self.state == "stopping":
-                self.state = "stopped"
 
     def status(self):
         with self._lock:
@@ -261,7 +249,7 @@ class Daemon:
             handoff_dir = os.path.dirname(spec.seccomp_handoff_path) or "."
             if not os.path.isdir(handoff_dir):
                 inst = ManagedInstance(spec)
-                inst._failed(f"AttachFailed: no such directory {handoff_dir}")
+                inst._ended(f"AttachFailed: no such directory {handoff_dir}")
                 self._instances[spec.container_id] = inst
                 return inst.status()
             inst = ManagedInstance(

@@ -219,6 +219,22 @@ def mapping_key(container_addr, container_port):
     return f"{KEY_PREFIX}{container_addr}:{container_port}"
 
 
+def _entry(value):
+    """A stored mapping value as the dict ``MappingPublisher`` writes, or
+    None if there is none: no value, or one that is not JSON, not an
+    object, or lacks a string host address, an integer host port or a
+    numeric lease expiry."""
+    try:
+        entry = json.loads(value)
+    except (ValueError, TypeError):  # TypeError: None, or not a string
+        return None
+    if (isinstance(entry, dict) and isinstance(entry.get("host_addr"), str)
+            and type(entry.get("host_port")) is int
+            and type(entry.get("lease_expiry")) in (int, float)):
+        return entry
+    return None
+
+
 class MappingPublisher:
     """Publishes this node's mappings with a lease and re-publishes on a
     heartbeat so dead hosts never black-hole rewrites."""
@@ -249,9 +265,9 @@ class MappingPublisher:
             "lease_expiry": self._time() + self.ttl,
         })
         try:
-            existing = self.kvs.get(key)
+            existing = _entry(self.kvs.get(key))
             if existing is not None:
-                owner = json.loads(existing).get("node_id")
+                owner = existing.get("node_id")
                 if owner not in (None, self.node_id):
                     log.warning("mapping %s already claimed by node %s; "
                                 "overwriting (last writer wins)", key, owner)
@@ -271,31 +287,25 @@ class MappingPublisher:
 
     def start_background(self):
         def loop():
-            backoff = self.heartbeat
-            while not self._stop.wait(backoff):
+            while not self._stop.wait(self.heartbeat):
                 with self._lock:
                     mappings = list(self._mappings.values())
-                ok = True
                 for m in mappings:
-                    try:
-                        self._put(m)
-                    except KvsUnavailable:
-                        ok = False
-                backoff = self.heartbeat if ok else min(backoff * 2, 60.0)
+                    self._put(m)  # logs a store outage itself
 
         self._thread = threading.Thread(target=loop, daemon=True,
                                         name="b4ns-kvs-heartbeat")
         self._thread.start()
 
-    def stop(self, withdraw=True):
+    def stop(self):
+        """End the heartbeat and withdraw every mapping published."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
-        if withdraw:
-            with self._lock:
-                mappings = list(self._mappings.values())
-            for m in mappings:
-                self.withdraw(m)
+        with self._lock:
+            mappings = list(self._mappings.values())
+        for m in mappings:
+            self.withdraw(m)
 
 
 class MirrorCache:
@@ -322,10 +332,11 @@ class MirrorCache:
             return False
         snap = {}
         for key, value in raw.items():
-            try:
-                snap[key] = json.loads(value)
-            except (ValueError, TypeError):
+            entry = _entry(value)
+            if entry is None:
                 log.warning("malformed mapping value under %s", key)
+            else:
+                snap[key] = entry
         self._snapshot = snap  # atomic swap
         return True
 

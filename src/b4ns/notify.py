@@ -11,11 +11,9 @@ import gc
 import os
 import select
 import struct
-import threading
 from collections import namedtuple
 
-from .errors import (ChannelClosed, HandoffFailed, StaleCookie,
-                     UnsupportedKernel, log)
+from .errors import ChannelClosed, HandoffFailed, StaleCookie, log
 from .sysnr import ACK_BYTE
 
 # struct seccomp_notif: id, pid, flags, struct seccomp_data{nr, arch, ip, args[6]}
@@ -88,38 +86,22 @@ _CONTINUE = Response("continue")  # immutable, so every CONTINUE shares it
 class NotificationChannel:
     """Live notification channel to one supervised process tree.
 
-    ``ioctl_fn`` is injectable so tests can simulate feature-masked or
-    misbehaving kernels.  Only the thread that reads events closes the
-    channel; any other thread ends that thread's wait with ``wake``.  The
-    same poll watches the supervised processes' pidfds (see ``watch``).
+    ``ioctl_fn`` is injectable so tests can simulate misbehaving kernels.
+    Once ``stop_fd`` (an eventfd its owner writes) is readable, every
+    ``next_event`` raises ChannelClosed.  The same poll watches the
+    supervised processes' pidfds (see ``watch``).
     """
 
-    def __init__(self, notify_fd, ioctl_fn=fcntl.ioctl, probe_addfd=True):
+    def __init__(self, notify_fd, ioctl_fn=fcntl.ioctl, stop_fd=None):
         self.fd = notify_fd
         self._ioctl = ioctl_fn
         self._answered = None  # the cookie the kernel last took an answer for
-        if probe_addfd and not self.supports_addfd():
-            os.close(notify_fd)
-            raise UnsupportedKernel("kernel lacks the add-fd notification command")
-        self._wake_fd = os.eventfd(0)
-        self._wake_lock = threading.Lock()  # no wake writes to a closed fd
+        self._stop_fd = stop_fd
         self._poll = select.poll()
         self._poll.register(notify_fd, select.POLLIN)
-        self._poll.register(self._wake_fd, select.POLLIN)
+        if stop_fd is not None:
+            self._poll.register(stop_fd, select.POLLIN)
         self._watched = {}  # pidfd -> callback, run once its process exits
-
-    def supports_addfd(self):
-        """Probe fd-injection support without a pending event.
-
-        A supporting kernel rejects a bogus cookie with ENOENT; a kernel
-        without the command rejects the ioctl itself (EINVAL/ENOTTY).
-        """
-        req = struct.pack(_ADDFD_FMT, 0, ADDFD_FLAG_SETFD, 0, 0, 0)
-        try:
-            self._ioctl(self.fd, IOCTL_NOTIF_ADDFD, req)
-        except OSError as e:
-            return e.errno == errno.ENOENT
-        return True  # a zero cookie should never be live; treat as supported
 
     def watch(self, pidfd, callback):
         """Have ``next_event`` run ``callback()`` once, when the process of
@@ -155,16 +137,16 @@ class NotificationChannel:
             ready = self._poll.poll(ms)
             if not ready:
                 raise TimeoutError("no notification within timeout")
-            flags = woken = 0
+            flags = stopped = 0
             for fd, revents in ready:
                 if fd == self.fd:
                     flags = revents
-                elif fd == self._wake_fd:
-                    woken = 1
+                elif fd == self._stop_fd:
+                    stopped = 1
                 else:
                     self._exited(fd)
-            if woken:
-                raise ChannelClosed("channel woken to stop")
+            if stopped:
+                raise ChannelClosed("supervisor stopped")
             if not flags:
                 continue  # only watched fds were ready
             if flags & select.POLLNVAL:
@@ -237,33 +219,30 @@ class NotificationChannel:
                                   event.cookie)
         self._answered = event.cookie
 
-    def wake(self):
-        """Make the current and every later ``next_event`` raise
-        ChannelClosed; safe from any thread, also after ``close``."""
-        with self._wake_lock:
-            if self._wake_fd is not None:
-                os.eventfd_write(self._wake_fd, 1)
-
     def close(self):
-        with self._wake_lock:
-            if self._wake_fd is None:
-                return  # closed already: the fd numbers may be reused
-            os.close(self._wake_fd)
-            self._wake_fd = None
-        try:
-            os.close(self.fd)
-        except OSError:
-            pass
+        """Close the notify fd; a second call does nothing."""
+        fd, self.fd = self.fd, -1
+        if fd >= 0:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
 
 
-def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl, stop_fd=None):
+def attach(handoff_path, timeout=10.0, stop_fd=None):
     """Receive the notification fd over the runtime handoff socket.
 
     Binds a local stream socket at ``handoff_path``, accepts exactly one
     connection carrying one ancillary fd, acks with 0x4F, and returns a live
-    channel.  Refuses to start on kernels without fd injection.  A readable
-    ``stop_fd`` ends the wait for a runtime (HandoffFailed).
+    channel that polls ``stop_fd``.  Refuses to start, before it binds, on
+    a kernel that lacks what the supervisor uses (UnsupportedKernel).  A
+    readable ``stop_fd`` ends the wait for a runtime (HandoffFailed).
     """
+    # imported here, not at the top: notify is imported first on the
+    # supervisor path, and loading targetmem from its import raised the
+    # supervisor's peak RSS by about 70 KB when compiled from source
+    from .targetmem import check_kernel
+    check_kernel()
     try:
         os.unlink(handoff_path)
     except FileNotFoundError:
@@ -302,7 +281,7 @@ def attach(handoff_path, timeout=10.0, ioctl_fn=fcntl.ioctl, stop_fd=None):
         notify_fd = fds[0]
         for extra in fds[1:]:
             os.close(extra)
-        chan = NotificationChannel(notify_fd, ioctl_fn=ioctl_fn)
+        chan = NotificationChannel(notify_fd, stop_fd=stop_fd)
         conn.sendall(ACK_BYTE)
     finally:
         conn.close()

@@ -50,7 +50,7 @@ class SupervisorInstance:
     """Single-threaded event loop over one notification channel.
 
     The channel must already be attached; ``run`` blocks until the target
-    tree exits or another thread calls ``chan.wake()``.  A process's records
+    tree exits or the channel's stop fd turns readable.  A process's records
     and memory handles go when it exits: the channel's poll watches the
     pidfd the memory service holds for it.  ``audit`` records (cookie,
     syscall, action) per event so tests can assert exactly-once response

@@ -23,7 +23,7 @@ import functools
 import os
 import struct
 
-from .errors import FdNotAvailable, MemFault, TargetGone
+from .errors import FdNotAvailable, MemFault, TargetGone, UnsupportedKernel
 
 _libc = ctypes.CDLL(None, use_errno=True)
 
@@ -109,6 +109,21 @@ def _pidfd_tgid(pidfd):
     except ProcessLookupError:
         raise TargetGone("thread exited")
     return struct.unpack_from("<I", info, 20)[0]
+
+
+def check_kernel():
+    """UnsupportedKernel unless this kernel has the pidfd calls that
+    ``MemService.process`` makes: ``PIDFD_THREAD`` (Linux 6.9) and
+    ``PIDFD_GET_INFO`` (6.13), tried on this process itself."""
+    try:
+        pidfd = _pidfd_open(os.getpid(), PIDFD_THREAD)
+        try:
+            _pidfd_tgid(pidfd)
+        finally:
+            os.close(pidfd)
+    except OSError as e:
+        raise UnsupportedKernel(f"kernel lacks PIDFD_THREAD or "
+                                f"PIDFD_GET_INFO (Linux 6.13): {e}")
 
 
 class RemoteFd:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import b4ns
-from b4ns import cli, notify
+from b4ns import cli, kvs, notify
 from b4ns.daemon import (
     ContainerSpec,
     Daemon,
@@ -212,6 +212,37 @@ class TestFdLimit:
         assert soft == hard
 
 
+class TestAttachExit:
+    @pytest.mark.parametrize("how", ["SIGTERM", "SIGINT", "no-such-dir"])
+    def test_published_mapping_is_withdrawn(self, tmp_path, how):
+        """``b4ns attach --multinode`` withdraws what it published when a
+        signal ends its handoff wait, and when the attach fails."""
+        store = tmp_path / "kvs"
+        handoff = tmp_path / ("missing" if how == "no-such-dir" else "") / "h.sock"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "b4ns.cli", "attach", "--handoff",
+             str(handoff), "--multinode", "--kvs", str(store),
+             "--cidr", "10.4.0.0/24", "--container-addr", "10.4.0.2",
+             "--publish", "18080:80"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        key = kvs.mapping_key("10.4.0.2", 80)
+        try:
+            assert proc.stdout.readline().startswith(
+                "waiting for runtime handoff")
+            if how != "no-such-dir":
+                assert kvs.FileKvs(store).get(key) is not None
+                proc.send_signal(getattr(signal, how))
+            _, err = proc.communicate(timeout=5)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1, err
+        assert "attach failed" in err and "Traceback" not in err
+        assert kvs.FileKvs(store).get(key) is None
+
+
 class TestApiErrors:
     def test_duplicate_container_conflicts(self, tmp_path, api):
         daemon, client = api
@@ -289,20 +320,15 @@ class TestApiErrors:
 
 
 class IdleChannel:
-    """A channel whose target never makes a hooked syscall."""
+    """A channel that counts its waits and ends at the first."""
 
     def __init__(self):
         self.polls = 0
         self.closed = False
-        self._woken = threading.Event()
 
     def next_event(self):
         self.polls += 1
-        self._woken.wait(10)
         raise ChannelClosed("idle")
-
-    def wake(self):
-        self._woken.set()
 
     def close(self):
         self.closed = True
@@ -466,3 +492,71 @@ class TestDaemonDirect:
                          "host_addr": "127.0.0.1", "host_port": 8080}]
         assert ContainerSpec.from_dict(d).publish == [
             PublishMapping("10.4.0.2", 80, "127.0.0.1", 8080)]
+
+
+def eventfds():
+    """How many eventfds this process holds."""
+    n = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(f"/proc/self/fd/{name}") == "anon_inode:[eventfd]"
+        except OSError:  # the listing's own fd, closed by now
+            pass
+    return n
+
+
+class TestStopSignal:
+    """An instance's one eventfd ends its handoff wait or its loop, and is
+    closed once the thread is done with it."""
+
+    def _started(self, tmp_path, cid, handoff=None):
+        d = Daemon(node_id="n")
+        spec = ContainerSpec(cid, handoff or str(tmp_path / f"{cid}.sock"))
+        d.start_instance(spec)
+        (inst,) = d._instances.values()
+        return d, inst, spec
+
+    def test_stop_during_the_handoff_wait(self, tmp_path):
+        before = eventfds()
+        d, inst, spec = self._started(tmp_path, "w")
+        deadline = time.monotonic() + 5
+        while not os.path.exists(spec.seccomp_handoff_path):
+            assert time.monotonic() < deadline, "the handoff never listened"
+            time.sleep(0.005)
+        d.stop_instance("w")
+        assert not inst._thread.is_alive()
+        assert inst.status().state == "stopped"
+        assert eventfds() == before
+
+    def test_stop_of_a_running_instance_with_a_parked_target(self, tmp_path):
+        before = eventfds()
+        d, inst, spec = self._started(tmp_path, "r")
+        run = ShimRun(launch_shim(
+            tmp_path, [{"op": "barrier", "name": "parked"}], name="r",
+            handoff=spec.seccomp_handoff_path))
+        try:
+            assert run.readline()["name"] == "parked"
+            deadline = time.monotonic() + 5
+            while inst.status().state != "running":
+                assert time.monotonic() < deadline, "never running"
+                time.sleep(0.01)
+            t0 = time.monotonic()
+            d.stop_instance("r")
+            # the loop ended at the stop, not at the target's exit
+            assert time.monotonic() - t0 < 1.0
+            assert not inst._thread.is_alive()
+            assert inst.status().state == "stopped"
+            assert eventfds() == before
+            run.release_barrier()
+            run.wait()
+        finally:
+            run.kill()
+
+    def test_bad_handoff_directory(self, tmp_path):
+        before = eventfds()
+        d, inst, _ = self._started(tmp_path, "b", "/nonexistent-dir/x.sock")
+        assert inst._thread is None
+        assert inst.status().state == "failed"
+        assert eventfds() == before
+        d.stop_instance("b")  # a no-op: it never started
+        assert eventfds() == before

@@ -129,6 +129,21 @@ class TestHttpKvs:
         assert isinstance(open_kvs(str(tmp_path / "dir")), FileKvs)
 
 
+# stored values that are no mapping: not JSON, not an object, or an object
+# without a usable host address, port or lease
+MALFORMED = {
+    "not-json": "{not json",
+    "array": "[1]",
+    "string": '"text"',
+    "null": "null",
+    "no-host": '{"lease_expiry": 1e12}',
+    "string-port": '{"host_addr": "198.51.100.7", "host_port": "8080",'
+                   ' "lease_expiry": 1e12}',
+    "string-lease": '{"host_addr": "198.51.100.7", "host_port": 8080,'
+                    ' "lease_expiry": "soon"}',
+}
+
+
 class TestPublisher:
     def test_publish_writes_lease(self, tmp_path):
         clock = FrozenClock()
@@ -149,6 +164,14 @@ class TestPublisher:
         assert any("last writer wins" in r.message for r in caplog.records)
         entry = json.loads(kvs.get(mapping_key("10.4.0.3", 80)))
         assert entry["node_id"] == "node-b"
+
+    @pytest.mark.parametrize("value", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_value_is_overwritten(self, tmp_path, value):
+        kvs = FileKvs(tmp_path / "s")
+        kvs.put(mapping_key("10.4.0.3", 80), value)
+        MappingPublisher(kvs, "node-a").publish(mapping())
+        entry = json.loads(kvs.get(mapping_key("10.4.0.3", 80)))
+        assert (entry["node_id"], entry["host_port"]) == ("node-a", 8080)
 
     def test_withdraw_removes_key(self, tmp_path):
         kvs = FileKvs(tmp_path / "s")
@@ -238,4 +261,15 @@ class TestMirror:
         # the well-formed overwrite wins; a solely-malformed key resolves None
         kvs.put(mapping_key("10.4.0.9", 80), "{still not json")
         mirror.refresh_now()
+        assert mirror.resolve("10.4.0.9", 80) is None
+
+    @pytest.mark.parametrize("value", MALFORMED.values(), ids=MALFORMED)
+    def test_value_that_is_no_mapping_is_skipped(self, tmp_path, value,
+                                                 caplog):
+        kvs = FileKvs(tmp_path / "s")
+        kvs.put(mapping_key("10.4.0.9", 80), value)
+        mirror = MirrorCache(kvs, time_fn=FrozenClock())
+        with caplog.at_level("WARNING", logger="b4ns.kvs"):
+            assert mirror.refresh_now()
+        assert any("malformed" in r.message for r in caplog.records)
         assert mirror.resolve("10.4.0.9", 80) is None

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from b4ns import notify
+from b4ns import notify, targetmem
 from b4ns.engine import NetEnvironment
 from b4ns.errors import (
     ChannelClosed,
@@ -72,24 +72,13 @@ class TestChannelUnit:
         fd = os.open("/dev/null", os.O_RDONLY)
         return NotificationChannel(fd, ioctl_fn=fake_ioctl(behaviour))
 
-    def test_addfd_probe_enoent_means_supported(self):
-        chan = self._chan({IOCTL_NOTIF_ADDFD: errno.ENOENT})
-        chan.close()
-
-    def test_addfd_probe_einval_means_unsupported(self):
-        fd = os.open("/dev/null", os.O_RDONLY)
-        with pytest.raises(UnsupportedKernel):
-            NotificationChannel(
-                fd, ioctl_fn=fake_ioctl({IOCTL_NOTIF_ADDFD: errno.EINVAL}))
-
     def test_validate_false_on_dead_cookie(self):
-        chan = self._chan({IOCTL_NOTIF_ADDFD: errno.ENOENT,
-                           IOCTL_NOTIF_ID_VALID: errno.ENOENT})
+        chan = self._chan({IOCTL_NOTIF_ID_VALID: errno.ENOENT})
         assert chan.validate(make_event(cookie=5)) is False
         chan.close()
 
     def test_double_respond_raises(self):
-        chan = self._chan({IOCTL_NOTIF_ADDFD: errno.ENOENT})
+        chan = self._chan({})
         ev = make_event(cookie=9)
         chan.respond(ev, Response.cont())
         with pytest.raises(StaleCookie):
@@ -99,7 +88,7 @@ class TestChannelUnit:
     def test_failed_send_leaves_the_fallback_answer_open(self):
         # a SEND the kernel refused answered nothing: the run loop's
         # fallback CONTINUE must still reach the kernel
-        ioctl = fake_ioctl({IOCTL_NOTIF_ADDFD: errno.ENOENT})
+        ioctl = fake_ioctl({})
         failures = [errno.EIO]
 
         def send_fails_once(fd, request, arg=0, mutate=False):
@@ -120,8 +109,7 @@ class TestChannelUnit:
         chan.close()
 
     def test_stale_cookie_on_respond_is_swallowed(self):
-        chan = self._chan({IOCTL_NOTIF_ADDFD: errno.ENOENT,
-                           IOCTL_NOTIF_SEND: errno.ENOENT})
+        chan = self._chan({IOCTL_NOTIF_SEND: errno.ENOENT})
         chan.respond(make_event(cookie=11), Response.success(0))
         chan.close()
 
@@ -132,7 +120,7 @@ class TestChannelUnit:
         chan.close()
 
     def test_continue_response_wire_format(self):
-        ioctl = fake_ioctl({IOCTL_NOTIF_ADDFD: errno.ENOENT})
+        ioctl = fake_ioctl({})
         fd = os.open("/dev/null", os.O_RDONLY)
         chan = NotificationChannel(fd, ioctl_fn=ioctl)
         chan.respond(make_event(cookie=21), Response.cont())
@@ -143,7 +131,7 @@ class TestChannelUnit:
         chan.close()
 
     def test_error_response_wire_format(self):
-        ioctl = fake_ioctl({IOCTL_NOTIF_ADDFD: errno.ENOENT})
+        ioctl = fake_ioctl({})
         fd = os.open("/dev/null", os.O_RDONLY)
         chan = NotificationChannel(fd, ioctl_fn=ioctl)
         chan.respond(make_event(cookie=22), Response.failure(errno.ECONNREFUSED))
@@ -158,7 +146,7 @@ class TestNextEvent:
 
     def test_closed_fd_means_channel_closed(self):
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         os.close(r)
         try:
             with pytest.raises(ChannelClosed):
@@ -168,7 +156,7 @@ class TestNextEvent:
 
     def test_nothing_ready_times_out(self):
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         try:
             with pytest.raises(TimeoutError):
                 chan.next_event(timeout=0.01)
@@ -178,7 +166,7 @@ class TestNextEvent:
 
     def test_hangup_means_channel_closed(self):
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         os.close(w)
         try:
             with pytest.raises(ChannelClosed):
@@ -187,22 +175,24 @@ class TestNextEvent:
             chan.close()
 
     def test_wake_from_another_thread_ends_an_unbounded_wait(self):
+        # the wake is the owner's stop fd, written from another thread
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
-        woken = []
+        stop_fd = os.eventfd(0)
+        chan = NotificationChannel(r, stop_fd=stop_fd)
+        stopped = []
 
-        def wake():
-            woken.append(time.monotonic())
-            chan.wake()
+        def stop():
+            stopped.append(time.monotonic())
+            os.eventfd_write(stop_fd, 1)
 
-        threading.Timer(0.05, wake).start()
-        # a lost wake would leave the wait to this write, which fails it
+        threading.Timer(0.05, stop).start()
+        # a missed stop would leave the wait to this write, which fails it
         late = threading.Timer(2.0, os.write, (w, b"x"))
         late.start()
         try:
             with pytest.raises(ChannelClosed):
                 chan.next_event(timeout=None)
-            assert time.monotonic() - woken[0] < 0.1
+            assert time.monotonic() - stopped[0] < 0.1
             # stopping is final: a later wait ends at once too
             with pytest.raises(ChannelClosed):
                 chan.next_event(timeout=1.0)
@@ -210,10 +200,27 @@ class TestNextEvent:
             late.cancel()
             chan.close()
             os.close(w)
+            os.close(stop_fd)
+
+    def test_wake_after_close_is_harmless(self):
+        r, w = os.pipe()
+        stop_fd = os.eventfd(0)
+        chan = NotificationChannel(r, stop_fd=stop_fd)
+        chan.close()
+        # a second close does nothing, to whatever reuses the fd number
+        os.dup2(w, r)
+        chan.close()
+        os.fstat(r)
+        os.close(r)
+        os.close(w)
+        # the stop fd is its owner's: the channel leaves it open, and
+        # writing it after the close is harmless
+        os.eventfd_write(stop_fd, 1)
+        os.close(stop_fd)
 
     def test_exit_of_a_watched_process_runs_its_callback_once(self):
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
         pidfd = os.pidfd_open(proc.pid)
         exited = []
@@ -236,7 +243,7 @@ class TestNextEvent:
         # the notify fd hangs up before the exiting tasks' pidfds turn
         # readable; a pipe that never does stands for such a pidfd
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         pr, pw = os.pipe()
         exited = []
         chan.watch(pr, lambda: exited.append(pr))
@@ -255,7 +262,7 @@ class TestNextEvent:
         # a process's exit callback drops its threads' pidfds, which may be
         # ready in the same poll, or pending when the notify fd hangs up
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         fds = [os.eventfd(1 if end == "ready" else 0) for _ in range(2)]
         ran = []
         for mine, other in (fds, fds[::-1]):
@@ -274,14 +281,6 @@ class TestNextEvent:
                 os.close(w)
             for fd in fds:
                 os.close(fd)
-
-    def test_wake_after_close_is_harmless(self):
-        r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
-        chan.close()
-        chan.wake()
-        chan.close()
-        os.close(w)
 
 
 class TestAttach:
@@ -315,8 +314,7 @@ class TestAttach:
     def test_happy_path_acks_and_returns_channel(self, tmp_path):
         path = str(tmp_path / "h.sock")
         t, result = self._handoff_client(path)
-        chan = notify.attach(path, timeout=5,
-                             ioctl_fn=fake_ioctl({IOCTL_NOTIF_ADDFD: errno.ENOENT}))
+        chan = notify.attach(path, timeout=5)
         t.join()
         assert result["ack"] == ACK_BYTE
         chan.close()
@@ -333,13 +331,28 @@ class TestAttach:
         t.join()
         assert result.get("ack") in (b"", None)
 
-    def test_feature_masked_kernel_refused(self, tmp_path):
-        path = str(tmp_path / "h.sock")
-        t, _ = self._handoff_client(path)
+    def test_this_kernel_meets_the_floor(self):
+        targetmem.check_kernel()
+
+    @pytest.mark.parametrize("missing", ["pidfd_thread", "pidfd_get_info"])
+    def test_kernel_below_the_floor_is_refused(self, tmp_path, monkeypatch,
+                                               missing):
+        """A kernel without PIDFD_THREAD (before 6.9) rejects the flag with
+        EINVAL; one without PIDFD_GET_INFO (before 6.13) the ioctl with
+        ENOTTY.  Either is refused before anything listens."""
+        def fails(err):
+            def fn(*args):
+                raise OSError(err, os.strerror(err))
+            return fn
+
+        if missing == "pidfd_thread":
+            monkeypatch.setattr(os, "pidfd_open", fails(errno.EINVAL))
+        else:
+            monkeypatch.setattr(fcntl, "ioctl", fails(errno.ENOTTY))
+        path = tmp_path / "h.sock"
         with pytest.raises(UnsupportedKernel):
-            notify.attach(path, timeout=5,
-                          ioctl_fn=fake_ioctl({IOCTL_NOTIF_ADDFD: errno.ENOTTY}))
-        t.join()
+            notify.attach(str(path), timeout=5)
+        assert not path.exists()
 
 
 class TestLiveFilter:

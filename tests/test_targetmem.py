@@ -264,7 +264,7 @@ class TestMemService:
     def test_exit_forgets_the_process(self, child):
         proc, addr, sock_fd = child
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         exited = []
         svc = MemService(chan, on_exit=exited.append)
         fds_before = len(os.listdir("/proc/self/fd"))
@@ -288,7 +288,7 @@ class TestMemService:
     def test_thread_exit_drops_its_pidfd(self, threaded_child):
         proc, tid = threaded_child
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         svc = MemService(chan)
         try:
             leader = svc.process(proc.pid)
@@ -314,7 +314,7 @@ class TestMemService:
     def test_process_exit_drops_its_threads(self, threaded_child):
         proc, tid = threaded_child
         r, w = os.pipe()
-        chan = NotificationChannel(r, probe_addfd=False)
+        chan = NotificationChannel(r)
         exited = []
         svc = MemService(chan, on_exit=exited.append)
         fds_before = len(os.listdir("/proc/self/fd"))
